@@ -13,14 +13,14 @@ import sys
 from . import regress as regress_mod
 from .errors import EngineError, MalformedInputError
 from .ideals import (
-    DEFAULT_COLON_SEARCH_CAP,
+    DEFAULT_SEARCH_CAP,
     FieldSpec,
     MonomialIdeal,
     ideal_from_json,
     parse_field,
     parse_generators,
     polarize,
-    set_colon_search_cap,
+    set_search_cap,
     tensor_join,
 )
 from .complexes import (
@@ -245,8 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--field", default="q", help="coefficient field: q | f2 | fp=P")
     ap.add_argument("--format", default="table", choices=("table", "json"))
-    ap.add_argument("--max-vertices", type=int, default=None)
-    ap.add_argument("--search-cap", type=int, default=DEFAULT_COLON_SEARCH_CAP)
+    ap.add_argument(
+        "--max-vertices", type=int, default=None,
+        help="largest vertex count of a Stanley-Reisner complex, after polarization "
+        f"(default {DEFAULT_MAX_VERTICES}); for probe, the largest sampled vertex count (default 7)",
+    )
+    ap.add_argument(
+        "--search-cap", type=int, default=DEFAULT_SEARCH_CAP,
+        help="most nodes one minimal vertex cover search may visit, for associated "
+        "primes, decompositions and Stanley-Reisner facets (default %(default)s)",
+    )
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--samples", type=int, default=200)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -282,8 +290,8 @@ def run(args) -> tuple[int, str]:
     field = parse_field(args.field)
     fmt = args.format
     cmd = args.command
-    if args.search_cap != DEFAULT_COLON_SEARCH_CAP:
-        set_colon_search_cap(args.search_cap)
+    if args.search_cap != DEFAULT_SEARCH_CAP:
+        set_search_cap(args.search_cap)
     if args.max_vertices is not None:
         set_max_vertices(args.max_vertices)
     if cmd == "analyze":

@@ -27,6 +27,7 @@ from .ideals import (
     PrimeSupport,
     QQ,
     RingDescriptor,
+    _minimal_transversals,
     ring,
     zero_ideal,
 )
@@ -106,31 +107,6 @@ def from_squarefree_ideal(
     covers = _minimal_transversals(edges)
     facets = tuple(tuple(sorted(set(range(n)) - c)) for c in covers)
     return SimplicialComplex(n, facets)
-
-
-def _minimal_transversals(edges: list[frozenset]) -> list[frozenset]:
-    """Inclusion-minimal vertex sets meeting every edge; deterministic order."""
-    if not edges:
-        return [frozenset()]
-    results: set[frozenset] = set()
-
-    def rec(chosen: set[int]):
-        for e in edges:
-            if not (e & chosen):
-                if not e:
-                    return  # the empty edge is uncoverable
-                for v in sorted(e):
-                    chosen.add(v)
-                    rec(chosen)
-                    chosen.remove(v)
-                return
-        results.add(frozenset(chosen))
-
-    rec(set())
-    minimal = [
-        t for t in results if not any(s != t and s < t for s in results)
-    ]
-    return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def to_ideal(

@@ -8,18 +8,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import UndefinedModuleError
+from .errors import InternalCheckError, SquarefreeRequiredError, UndefinedModuleError
 from .ideals import (
     MonomialIdeal,
     PrimeSupport,
-    associated_primes,
+    intersect_all,
     minimal_primes_of,
     primary_decomposition,
-    unit_ideal,
 )
 from .complexes import (
     all_faces,
-    facet_subcomplex_min_dim,
     from_squarefree_ideal,
     link,
     pure_skeleton,
@@ -28,7 +26,6 @@ from .complexes import (
 from .invariants import (
     ModuleProfile,
     complex_table,
-    krull_dim,
     profile,
 )
 from .linalg import reduced_homology
@@ -58,31 +55,11 @@ def dimension_filtration(I: MonomialIdeal) -> DimensionFiltration:
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")
     rng = I.ring
-    d = krull_dim(I)
-    ass = sorted(associated_primes(I))
-    if I.is_squarefree:
-        cx = from_squarefree_ideal(I)
-
-        def level_ideal(i: int) -> MonomialIdeal:
-            if not any(len(f) > i for f in cx.facets):
-                return unit_ideal(rng)
-            return to_ideal(facet_subcomplex_min_dim(cx, i), rng)
-
-    else:
-        comps = primary_decomposition(I)
-
-        def level_ideal(i: int) -> MonomialIdeal:
-            kept = [c for rad, c in comps if rad.dim_in(rng) > i]
-            if not kept:
-                return unit_ideal(rng)
-            out = kept[0]
-            for c in kept[1:]:
-                out = _intersect(out, c)
-            return out
-
+    comps = primary_decomposition(I)
+    ass = [rad for rad, _ in comps]  # Ass(S/I): the radicals, already sorted
     levels = []
-    for i in range(d + 1):
-        li = level_ideal(i)
+    for i in range(max(p.dim_in(rng) for p in ass) + 1):
+        li = intersect_all(rng, (c for rad, c in comps if rad.dim_in(rng) > i))
         levels.append(
             FiltrationLevel(
                 index=i,
@@ -93,12 +70,6 @@ def dimension_filtration(I: MonomialIdeal) -> DimensionFiltration:
         )
     t = min(lv.index for lv in levels if lv.nonzero)
     return DimensionFiltration(I, tuple(levels), t)
-
-
-def _intersect(a, b):
-    from .ideals import intersect
-
-    return intersect(a, b)
 
 
 def ass_of_submodule(f: DimensionFiltration, i: int) -> tuple[PrimeSupport, ...]:
@@ -210,7 +181,7 @@ def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
             for j, h in hv.dims:
                 if h and j < lk.dim:
                     return SeqCMResult("false", i, s, j)
-        raise AssertionError("non-CM skeleton without a Reisner witness")
+        raise InternalCheckError("non-CM skeleton without a Reisner witness")
     return SeqCMResult("true")
 
 
@@ -279,8 +250,6 @@ class PsuppEntry:
 def psupp_monomial(I: MonomialIdeal, i: int) -> PsuppEntry:
     """Faces F whose link has nonvanishing local cohomology in degree i - |F|."""
     if not I.is_squarefree:
-        from .errors import SquarefreeRequiredError
-
         raise SquarefreeRequiredError("Psupp scan needs a squarefree ideal")
     field_spec = I.ring.field_spec
     cx = from_squarefree_ideal(I)

@@ -5,11 +5,10 @@ minimalized and sorted graded-lex, so equal ideals compare equal bit for bit.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .errors import (
     CapExceededError,
@@ -19,14 +18,14 @@ from .errors import (
     UndefinedModuleError,
 )
 
-DEFAULT_COLON_SEARCH_CAP = 2 ** 24
-_colon_search_cap = DEFAULT_COLON_SEARCH_CAP
+DEFAULT_SEARCH_CAP = 2 ** 24
+_search_cap = DEFAULT_SEARCH_CAP
 
 
-def set_colon_search_cap(cap: int) -> None:
-    """Override the associated-prime search-space cap (CLI flag hook)."""
-    global _colon_search_cap
-    _colon_search_cap = cap
+def set_search_cap(cap: int) -> None:
+    """Override the transversal-search node cap (CLI flag hook)."""
+    global _search_cap
+    _search_cap = cap
 
 
 def _is_prime(p: int) -> bool:
@@ -263,51 +262,79 @@ def colon(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     return MonomialIdeal(I.ring, tuple(g.colon_by(u) for g in I.gens))
 
 
-def sum_with(I: MonomialIdeal, extra) -> MonomialIdeal:
-    return MonomialIdeal(I.ring, I.gens + tuple(extra))
-
-
-def _as_prime(I: MonomialIdeal) -> PrimeSupport | None:
-    """PrimeSupport when I is a monomial prime (incl. the zero ideal), else None."""
-    if I.is_unit:
-        return None
-    if I.is_zero:
-        return PrimeSupport(())
-    sup = []
-    for g in I.gens:
-        if g.degree != 1:
-            return None
-        sup.append(g.support[0])
-    return PrimeSupport.of(sup)
-
-
 def prime_ideal(rng: RingDescriptor, p: PrimeSupport) -> MonomialIdeal:
     return MonomialIdeal(rng, tuple(variable(rng, i) for i in p.vars))
 
 
-@lru_cache(maxsize=None)
+def _minimal_transversals(edges: list[frozenset], search_cap: int | None = None) -> list[frozenset]:
+    """Inclusion-minimal vertex sets meeting every edge; deterministic order.
+
+    Raises CapExceededError once the search has visited more than
+    `search_cap` nodes (default: the module cap).
+    """
+    if search_cap is None:
+        search_cap = _search_cap
+    if not edges:
+        return [frozenset()]
+    results: set[frozenset] = set()
+    visited = 0
+
+    def rec(chosen: set):
+        nonlocal visited
+        visited += 1
+        if visited > search_cap:
+            raise CapExceededError(
+                f"transversal search visited more than {search_cap} nodes"
+            )
+        for e in edges:
+            if not (e & chosen):
+                if not e:
+                    return  # the empty edge is uncoverable
+                for v in sorted(e):
+                    chosen.add(v)
+                    rec(chosen)
+                    chosen.remove(v)
+                return
+        results.add(frozenset(chosen))
+
+    rec(set())
+    minimal = [
+        t for t in results if not any(s != t and s < t for s in results)
+    ]
+    return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def _polarized_covers(I: MonomialIdeal, search_cap: int | None = None) -> list[frozenset]:
+    """Minimal vertex covers of pol I, each a set of (variable, power) pairs.
+
+    The polarization vertex x_{i,j} is the pair (i, j), so the generator x^a
+    is the edge {(i, j) : 1 <= j <= a_i}.  A minimal cover holds at most one
+    pair per variable: (i, k) lies on every edge through (i, j) for j > k.
+    """
+    edges = [
+        frozenset((i, j) for i, e in enumerate(g.exponents) for j in range(1, e + 1))
+        for g in I.gens
+    ]
+    return _minimal_transversals(edges, search_cap)
+
+
 def associated_primes(
     I: MonomialIdeal, search_cap: int | None = None
 ) -> frozenset[PrimeSupport]:
-    """Ass(S/I) by colon search over all monomials below the generator lcm."""
-    if search_cap is None:
-        search_cap = _colon_search_cap
+    """Ass(S/I): the minimal vertex covers of pol I, depolarized x_{i,j} -> x_i.
+
+    Ass(S/I) is the set of radicals of the irreducible components of I, and
+    every component comes from a minimal cover (see
+    `irreducible_decomposition`).  Conversely, q_C for a minimal cover C
+    contains a component; were that component on fewer variables than C,
+    the pairs of C on those variables would already cover pol I.
+    `search_cap` bounds the nodes the cover search visits.
+    """
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")
-    top = I.lcm_of_gens()
-    space = 1
-    for e in top.exponents:
-        space *= e + 1
-    if space > search_cap:
-        raise CapExceededError(
-            f"colon search space {space} exceeds cap {search_cap}"
-        )
-    found: set[PrimeSupport] = set()
-    for exps in itertools.product(*(range(e + 1) for e in top.exponents)):
-        p = _as_prime(colon(I, Monomial(exps)))
-        if p is not None:
-            found.add(p)
-    return frozenset(found)
+    return frozenset(
+        PrimeSupport.of(i for i, _ in c) for c in _polarized_covers(I, search_cap)
+    )
 
 
 def minimal_primes_of(I: MonomialIdeal) -> frozenset[PrimeSupport]:
@@ -321,39 +348,29 @@ def minimal_primes_of(I: MonomialIdeal) -> frozenset[PrimeSupport]:
 def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     """Irredundant decomposition into ideals generated by pure variable powers.
 
-    Splits on the first generator that is not a pure power, at its
-    lowest-index variable, so the output order is deterministic.
+    Each minimal vertex cover C of pol I gives the irreducible ideal
+    q_C = (x_i^j : x_{i,j} in C), which contains I.  The components of I are
+    the inclusion-minimal q_C (S. Faridi, Monomial ideals via square-free
+    monomial ideals, 2005; Herzog-Hibi, Monomial Ideals, ch. 1):
+    - a component q = (x_i^{a_i} : i in A) is q_C for C = {x_{i,a_i}}, and C
+      is minimal, since a proper subcover would give an irreducible ideal
+      strictly inside q that still contains I;
+    - every q_C is irreducible and contains I, so it contains a component.
+    Non-minimal q_C do occur, so without the filter the decomposition is
+    redundant.
     """
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal has no decomposition")
-    if I.is_zero:
-        return (I,)
-    comps: set[MonomialIdeal] = set()
-    stack = [I]
-    while stack:
-        J = stack.pop()
-        split = None
-        for g in J.gens:
-            if len(g.support) > 1:
-                split = g
-                break
-        if split is None:
-            comps.add(J)
-            continue
-        v = split.support[0]
-        a = split.exponents[v]
-        pure = variable(J.ring, v, a)
-        rest = split.colon_by(pure)
-        stack.append(sum_with(J, (pure,)))
-        stack.append(sum_with(J, (rest,)))
-    ordered = sorted(comps, key=lambda c: tuple(_graded_lex_key(g) for g in c.gens))
-    # drop components not needed for the intersection to equal I
-    kept = list(ordered)
-    for c in list(ordered):
-        others = [k for k in kept if k != c]
-        if others and intersect_all(I.ring, others) == I:
-            kept = others
-    return tuple(kept)
+    rng = I.ring
+    cands = {
+        MonomialIdeal(rng, tuple(variable(rng, i, j) for i, j in c))
+        for c in _polarized_covers(I)
+    }
+    kept = [
+        q for q in cands
+        if not any(p != q and all(q.contains(g) for g in p.gens) for p in cands)
+    ]
+    return tuple(sorted(kept, key=lambda c: tuple(_graded_lex_key(g) for g in c.gens)))
 
 
 def primary_decomposition(I: MonomialIdeal) -> tuple[tuple[PrimeSupport, MonomialIdeal], ...]:
@@ -534,13 +551,6 @@ def ideal_from_json(data, field: FieldSpec = QQ) -> MonomialIdeal:
         raise MalformedInputError(f"bad ideal JSON: {exc}") from exc
     rng = RingDescriptor(names, field)
     return MonomialIdeal(rng, tuple(Monomial(g) for g in gens))
-
-
-def ideal_to_json(I: MonomialIdeal) -> dict:
-    return {
-        "vars": list(I.ring.names),
-        "gens": [list(g.exponents) for g in I.gens],
-    }
 
 
 def parse_field(text: str) -> FieldSpec:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 
-from .complexes import SimplicialComplex, to_ideal
+from .complexes import SimplicialComplex
 from .ideals import FieldSpec, Monomial, MonomialIdeal, QQ, ring
 
 
@@ -19,10 +19,6 @@ def random_complex(rng: random.Random, n: int, max_facets: int | None = None) ->
         size = rng.randint(1, n)
         facets.append(tuple(sorted(rng.sample(range(n), size))))
     return SimplicialComplex(n, tuple(facets))
-
-
-def random_squarefree_ideal(rng: random.Random, n: int, field: FieldSpec = QQ) -> MonomialIdeal:
-    return to_ideal(random_complex(rng, n), field=field)
 
 
 def random_monomial_ideal(

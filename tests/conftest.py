@@ -3,7 +3,8 @@ import random
 import pytest
 
 from maxdepth.complexes import to_ideal
-from maxdepth.random_instances import random_complex
+from maxdepth.ideals import F2, QQ
+from maxdepth.random_instances import random_complex, random_monomial_ideal
 
 POOL_SEED = 20260824
 
@@ -36,4 +37,15 @@ def pool_pairs():
             to_ideal(random_complex(rng, rng.randint(2, 4))),
         )
         for _ in range(200)
+    ]
+
+
+@pytest.fixture(scope="session")
+def pool_mixed():
+    """200 random monomial ideals, mostly non-squarefree, on 1-5 variables
+    with up to 5 generators and exponents up to 3, alternately over QQ and GF(2)."""
+    rng = random.Random(POOL_SEED + 3)
+    return [
+        random_monomial_ideal(rng, rng.randint(1, 5), max_gens=5, max_exp=3, field=(QQ, F2)[k % 2])
+        for k in range(200)
     ]

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from maxdepth import filtration
 from maxdepth.cli import main
-from maxdepth.ideals import DEFAULT_COLON_SEARCH_CAP, set_colon_search_cap
+from maxdepth.ideals import DEFAULT_SEARCH_CAP, set_search_cap
 from maxdepth.complexes import DEFAULT_MAX_VERTICES, set_max_vertices
+from maxdepth.linalg import HomologyVector
 
 C8 = "--edges=n=8; edges=1-2,2-3,3-4,4-5,5-6,6-7,7-8,1-8"
 
@@ -12,7 +14,7 @@ C8 = "--edges=n=8; edges=1-2,2-3,3-4,4-5,5-6,6-7,7-8,1-8"
 @pytest.fixture(autouse=True)
 def restore_caps():
     yield
-    set_colon_search_cap(DEFAULT_COLON_SEARCH_CAP)
+    set_search_cap(DEFAULT_SEARCH_CAP)
     set_max_vertices(DEFAULT_MAX_VERTICES)
 
 
@@ -160,6 +162,12 @@ class TestExitCodes:
     def test_unit_ideal_is_4(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--gens=x1^0")
         assert code == 4 and "error kind=" in err
+
+    def test_internal_check_is_reported(self, capsys, monkeypatch):
+        # a seqCM witness scan that finds no homology must fail as an engine error
+        monkeypatch.setattr(filtration, "reduced_homology", lambda cx, field: HomologyVector(()))
+        code, out, err = run_cli(capsys, "seqcm", C8)
+        assert code == 1 and "error kind=internal-check" in err
 
     def test_vertex_cap_is_3(self, capsys):
         # a graph not analyzed elsewhere, so no cached profile bypasses the cap

@@ -36,6 +36,8 @@ from maxdepth.complexes import (
 from maxdepth.random_instances import random_complex
 from maxdepth.regress import C8_PRIMES
 
+from colon_oracle import colon_search_ass
+
 HOLLOW_TRIANGLE = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
 
 complexes = st.integers(0, 10 ** 9).map(
@@ -104,7 +106,8 @@ class TestMinimalPrimes:
     @settings(max_examples=60)
     def test_matches_associated_primes(self, cx):
         # squarefree ideals are radical: Ass is exactly the facet complements
-        assert minimal_primes(cx) == associated_primes(to_ideal(cx))
+        I = to_ideal(cx)
+        assert minimal_primes(cx) == associated_primes(I) == colon_search_ass(I)
 
 
 class TestLink:

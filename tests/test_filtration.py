@@ -29,6 +29,8 @@ from maxdepth.filtration import (
 )
 from maxdepth.regress import C8_PRIMES, c8_ideal, two_planes_ideal
 
+from colon_oracle import colon_search_ass
+
 
 def mk(n, *exps):
     return MonomialIdeal(ring(n), tuple(Monomial(e) for e in exps))
@@ -102,6 +104,12 @@ class TestDimensionFiltration:
         collected = [p for lv in f.levels for p in lv.ass_level]
         assert len(collected) == len(set(collected))
         assert set(collected) == set(associated_primes(I))
+
+    def test_pool_ass_levels_partition_ass(self, pool_mixed):
+        for I in pool_mixed:
+            collected = [p for lv in dimension_filtration(I).levels for p in lv.ass_level]
+            assert len(collected) == len(set(collected)), I.format()
+            assert set(collected) == colon_search_ass(I), I.format()
 
 
 class TestMdepthChain:

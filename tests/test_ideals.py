@@ -11,6 +11,7 @@ from maxdepth.errors import (
     UndefinedModuleError,
 )
 from maxdepth.ideals import (
+    DEFAULT_SEARCH_CAP,
     Monomial,
     MonomialIdeal,
     PrimeSupport,
@@ -27,12 +28,15 @@ from maxdepth.ideals import (
     prime_ideal,
     quotient_by_variable,
     ring,
+    set_search_cap,
     specialize_polarization,
     tensor_join,
     unit_ideal,
     zero_ideal,
 )
 from maxdepth.regress import C8_PRIMES, c8_ideal
+
+from colon_oracle import colon_search_ass
 
 
 def mk(n, *exps):
@@ -164,6 +168,20 @@ class TestAssociatedPrimes:
         with pytest.raises(CapExceededError):
             associated_primes(I, search_cap=100)
 
+    def test_search_cap_holds_on_repeat_call(self):
+        I = parse_generators("x1^3*x2,x2^2*x3,x1*x3^2")
+        associated_primes(I)
+        set_search_cap(2)
+        try:
+            with pytest.raises(CapExceededError):
+                associated_primes(I)
+        finally:
+            set_search_cap(DEFAULT_SEARCH_CAP)
+
+    def test_pool_matches_colon_oracle(self, pool_mixed):
+        for I in pool_mixed:
+            assert associated_primes(I) == colon_search_ass(I), I.format()
+
     @given(small_ideals)
     @settings(max_examples=60)
     def test_contains_minimal_primes(self, I):
@@ -201,6 +219,14 @@ class TestIrreducibleDecomposition:
         assert intersect_all(I.ring, comps) == I
         for c in comps:
             assert all(len(g.support) == 1 for g in c.gens)
+
+    def test_pool_components_pure_irredundant_and_exact(self, pool_mixed):
+        for I in pool_mixed:
+            comps = irreducible_decomposition(I)
+            assert all(len(g.support) == 1 for c in comps for g in c.gens), I.format()
+            assert intersect_all(I.ring, comps) == I, I.format()
+            for k in range(len(comps)):
+                assert intersect_all(I.ring, comps[:k] + comps[k + 1:]) != I, I.format()
 
     @given(small_ideals)
     @settings(max_examples=40, deadline=None)
