@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import (
     CapExceededError,
@@ -269,17 +269,24 @@ def prime_ideal(rng: RingDescriptor, p: PrimeSupport) -> MonomialIdeal:
 def _minimal_transversals(edges: list[frozenset], search_cap: int | None = None) -> list[frozenset]:
     """Inclusion-minimal vertex sets meeting every edge; deterministic order.
 
-    Raises CapExceededError once the search has visited more than
-    `search_cap` nodes (default: the module cap).
+    The search branches on the vertices of the first uncovered edge in
+    sorted order; branch v forbids the siblings tried before it, and is cut
+    when a vertex already chosen would lose its last private edge (one that
+    no other chosen vertex meets).  A minimal transversal T is reached
+    through the first of its vertices on each edge it has to cover, and
+    every vertex of T keeps a private edge on the way, so the search yields
+    each minimal transversal once and nothing else.  Raises
+    CapExceededError once the search has visited more than `search_cap`
+    nodes (default: the module cap).
     """
     if search_cap is None:
         search_cap = _search_cap
     if not edges:
         return [frozenset()]
-    results: set[frozenset] = set()
+    results: list[frozenset] = []
     visited = 0
 
-    def rec(chosen: set):
+    def rec(chosen: frozenset, forbidden: frozenset):
         nonlocal visited
         visited += 1
         if visited > search_cap:
@@ -288,34 +295,33 @@ def _minimal_transversals(edges: list[frozenset], search_cap: int | None = None)
             )
         for e in edges:
             if not (e & chosen):
-                if not e:
-                    return  # the empty edge is uncoverable
-                for v in sorted(e):
-                    chosen.add(v)
-                    rec(chosen)
-                    chosen.remove(v)
+                tried = set(forbidden)
+                for v in sorted(e - forbidden):
+                    grown = chosen | {v}
+                    if all(any(f & grown == {u} for f in edges) for u in chosen):
+                        rec(grown, frozenset(tried))
+                    tried.add(v)
                 return
-        results.add(frozenset(chosen))
+        results.append(chosen)
 
-    rec(set())
-    minimal = [
-        t for t in results if not any(s != t and s < t for s in results)
-    ]
-    return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
+    rec(frozenset(), frozenset())
+    return sorted(results, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _polarized_covers(I: MonomialIdeal, search_cap: int | None = None) -> list[frozenset]:
+@lru_cache(maxsize=None)
+def _polarized_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
     """Minimal vertex covers of pol I, each a set of (variable, power) pairs.
 
     The polarization vertex x_{i,j} is the pair (i, j), so the generator x^a
     is the edge {(i, j) : 1 <= j <= a_i}.  A minimal cover holds at most one
     pair per variable: (i, k) lies on every edge through (i, j) for j > k.
+    The cache is keyed on the cap, so a lowered cap is never bypassed.
     """
     edges = [
         frozenset((i, j) for i, e in enumerate(g.exponents) for j in range(1, e + 1))
         for g in I.gens
     ]
-    return _minimal_transversals(edges, search_cap)
+    return tuple(_minimal_transversals(edges, search_cap))
 
 
 def associated_primes(
@@ -332,6 +338,8 @@ def associated_primes(
     """
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")
+    if search_cap is None:
+        search_cap = _search_cap
     return frozenset(
         PrimeSupport.of(i for i, _ in c) for c in _polarized_covers(I, search_cap)
     )
@@ -349,26 +357,40 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     """Irredundant decomposition into ideals generated by pure variable powers.
 
     Each minimal vertex cover C of pol I gives the irreducible ideal
-    q_C = (x_i^j : x_{i,j} in C), which contains I.  The components of I are
-    the inclusion-minimal q_C (S. Faridi, Monomial ideals via square-free
-    monomial ideals, 2005; Herzog-Hibi, Monomial Ideals, ch. 1):
-    - a component q = (x_i^{a_i} : i in A) is q_C for C = {x_{i,a_i}}, and C
-      is minimal, since a proper subcover would give an irreducible ideal
-      strictly inside q that still contains I;
-    - every q_C is irreducible and contains I, so it contains a component.
-    Non-minimal q_C do occur, so without the filter the decomposition is
-    redundant.
+    q_C = (x_i^j : x_{i,j} in C), which contains I (S. Faridi, Monomial
+    ideals via square-free monomial ideals, 2005; Herzog-Hibi, Monomial
+    Ideals, ch. 1).  The components of I are the q_C in which every pair
+    (i, j) of C has a tight generator: g_i = j, and g_k < l for the other
+    pairs (k, l) of C.
+    - Tight generators make q_C minimal among the irreducible ideals over
+      I: if q_D is one inside q_C, each tight generator lies in q_D only
+      through its own variable, which forces D = C.
+    - A component q = (x_i^{c_i} : i in A) is q_C for C = {x_{i,c_i}}, a
+      minimal cover since a smaller one would give an irreducible ideal
+      over I strictly inside q.  Raising c_i by one gives an ideal strictly
+      inside q, so some generator of I lies in q but not in that ideal: it
+      is tight at i.
+    Minimal covers without tight generators do occur, so without the test
+    the decomposition is redundant.
     """
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal has no decomposition")
     rng = I.ring
-    cands = {
-        MonomialIdeal(rng, tuple(variable(rng, i, j) for i, j in c))
-        for c in _polarized_covers(I)
-    }
+
+    def tight(c) -> bool:
+        return all(
+            any(
+                g.exponents[i] == j
+                and all(g.exponents[k] < l for k, l in c if k != i)
+                for g in I.gens
+            )
+            for i, j in c
+        )
+
     kept = [
-        q for q in cands
-        if not any(p != q and all(q.contains(g) for g in p.gens) for p in cands)
+        MonomialIdeal(rng, tuple(variable(rng, i, j) for i, j in c))
+        for c in _polarized_covers(I, _search_cap)
+        if tight(c)
     ]
     return tuple(sorted(kept, key=lambda c: tuple(_graded_lex_key(g) for g in c.gens)))
 

@@ -33,6 +33,7 @@ from .complexes import (
     all_faces,
     from_squarefree_ideal,
     link,
+    minimal_primes,
     to_ideal,
 )
 from .linalg import reduced_homology
@@ -96,13 +97,24 @@ def complex_is_cm(cx: SimplicialComplex, field: FieldSpec) -> bool:
     return t.depth == t.dim
 
 
-def _shifted_table(I: MonomialIdeal) -> HochsterTable:
-    """Table for S/I; non-squarefree ideals go through polarization."""
+def _shifted_table(I: MonomialIdeal) -> tuple[HochsterTable, tuple[PrimeSupport, ...]]:
+    """Table and Ass for S/I, read off one complex.
+
+    Non-squarefree ideals go through polarization.  The facet complements
+    of the complex are the minimal vertex covers of pol I; sending each
+    vertex back to its variable gives Ass(S/I), as in `associated_primes`.
+    """
     field = I.ring.field_spec
     if I.is_squarefree:
-        return complex_table(from_squarefree_ideal(I), field)
+        cx = from_squarefree_ideal(I)
+        return complex_table(cx, field), tuple(sorted(minimal_primes(cx)))
     pol = polarize(I)
-    raw = complex_table(from_squarefree_ideal(pol.ideal), field)
+    cx = from_squarefree_ideal(pol.ideal)
+    ass = {
+        PrimeSupport.of(pol.slot_owner[v] for v in range(cx.n) if v not in f)
+        for f in cx.facets
+    }
+    raw = complex_table(cx, field)
     a = pol.added_vars
     for d in raw.degrees:
         if d.degree < a and d.nonzero:
@@ -112,7 +124,7 @@ def _shifted_table(I: MonomialIdeal) -> HochsterTable:
         for d in raw.degrees
         if d.degree >= a
     )
-    return HochsterTable(degrees, polarized=True)
+    return HochsterTable(degrees, polarized=True), tuple(sorted(ass))
 
 
 @dataclass(frozen=True)
@@ -158,10 +170,9 @@ def profile(I: MonomialIdeal) -> ModuleProfile:
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")
     rng = I.ring
-    ass = tuple(sorted(associated_primes(I)))
+    table, ass = _shifted_table(I)
     dims = [p.dim_in(rng) for p in ass]
     dim_m, mdepth_m = max(dims), min(dims)
-    table = _shifted_table(I)
     depth_m = table.depth
     if table.dim != dim_m:
         raise InternalCheckError(

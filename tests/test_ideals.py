@@ -15,6 +15,7 @@ from maxdepth.ideals import (
     Monomial,
     MonomialIdeal,
     PrimeSupport,
+    _minimal_transversals,
     associated_primes,
     colon,
     intersect,
@@ -178,6 +179,12 @@ class TestAssociatedPrimes:
         finally:
             set_search_cap(DEFAULT_SEARCH_CAP)
 
+    def test_power_of_maximal_ideal_under_default_cap(self):
+        # polarized edges nest, so a search that retries siblings branches
+        # on every decreasing chain of x2-powers here
+        I = parse_generators(",".join(f"x1^{a}*x2^{24 - a}" for a in range(25)))
+        assert associated_primes(I) == {PrimeSupport((0, 1))}
+
     def test_pool_matches_colon_oracle(self, pool_mixed):
         for I in pool_mixed:
             assert associated_primes(I) == colon_search_ass(I), I.format()
@@ -195,6 +202,22 @@ class TestAssociatedPrimes:
                 assert set(g.support) & set(p.vars) or not g.support
 
 
+class TestMinimalTransversals:
+    @given(st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=4), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force(self, edges):
+        covers = [
+            frozenset(t)
+            for k in range(7)
+            for t in itertools.combinations(range(6), k)
+            if all(e & set(t) for e in edges)
+        ]
+        minimal = {t for t in covers if not any(s < t for s in covers)}
+        got = _minimal_transversals(edges)
+        assert len(got) == len(set(got))
+        assert set(got) == minimal
+
+
 class TestIrreducibleDecomposition:
     def test_embedded_example(self):
         comps = irreducible_decomposition(mk(2, (2, 0), (1, 1)))
@@ -209,6 +232,11 @@ class TestIrreducibleDecomposition:
         comps = irreducible_decomposition(I)
         got = {PrimeSupport.of(i for g in c.gens for i in g.support) for c in comps}
         assert got == set(minimal_primes_of(I))
+
+    def test_power_of_maximal_ideal_under_default_cap(self):
+        I = parse_generators(",".join(f"x1^{a}*x2^{24 - a}" for a in range(25)))
+        expected = {mk(2, (a, 0), (0, 25 - a)) for a in range(1, 25)}
+        assert set(irreducible_decomposition(I)) == expected
 
     @given(small_ideals)
     @settings(max_examples=60, deadline=None)
