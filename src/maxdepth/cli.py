@@ -287,13 +287,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> tuple[int, str]:
+    """Run one parsed command under its own caps, restoring the previous caps
+    afterwards, so that a call answers as it would in a fresh process."""
+    search_cap = set_search_cap(args.search_cap)
+    max_vertices = set_max_vertices(
+        DEFAULT_MAX_VERTICES if args.max_vertices is None else args.max_vertices
+    )
+    try:
+        return _dispatch(args)
+    finally:
+        set_search_cap(search_cap)
+        set_max_vertices(max_vertices)
+
+
+def _dispatch(args) -> tuple[int, str]:
     field = parse_field(args.field)
     fmt = args.format
     cmd = args.command
-    if args.search_cap != DEFAULT_SEARCH_CAP:
-        set_search_cap(args.search_cap)
-    if args.max_vertices is not None:
-        set_max_vertices(args.max_vertices)
     if cmd == "analyze":
         I = _load_ideal(args, field)
         return 0, _render(profile_json(profile(I)), fmt)

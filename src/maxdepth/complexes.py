@@ -36,10 +36,12 @@ DEFAULT_MAX_VERTICES = 24
 _max_vertices = DEFAULT_MAX_VERTICES
 
 
-def set_max_vertices(cap: int) -> None:
-    """Override the facet-enumeration vertex cap (CLI flag hook)."""
+def set_max_vertices(cap: int) -> int:
+    """Override the facet-enumeration vertex cap (CLI flag hook); returns the
+    previous cap, so that the caller can restore it."""
     global _max_vertices
-    _max_vertices = cap
+    previous, _max_vertices = _max_vertices, cap
+    return previous
 
 
 def _facet_key(f: tuple[int, ...]):

@@ -22,10 +22,12 @@ DEFAULT_SEARCH_CAP = 2 ** 24
 _search_cap = DEFAULT_SEARCH_CAP
 
 
-def set_search_cap(cap: int) -> None:
-    """Override the transversal-search node cap (CLI flag hook)."""
+def set_search_cap(cap: int) -> int:
+    """Override the transversal-search node cap (CLI flag hook); returns the
+    previous cap, so that the caller can restore it."""
     global _search_cap
-    _search_cap = cap
+    previous, _search_cap = _search_cap, cap
+    return previous
 
 
 def _is_prime(p: int) -> bool:

@@ -1,8 +1,13 @@
 """Exact ranks and reduced simplicial homology over the configured field.
 
-No floating point anywhere: rationals go through fraction-free (Bareiss)
-elimination on arbitrary-precision integers, prime fields through modular
-elimination.  Pivoting picks the first nonzero entry in row-major order.
+No floating point anywhere.  `rank` is one sparse column elimination.  Over
+GF(p) any nonzero entry may be a pivot.  Over the rationals only entries
+equal to +-1 are pivots, so the integer arithmetic stays exact without a
+division; the columns left with no unit entry form a residual block, which
+fraction-free (Bareiss) elimination finishes.  Boundary matrices have
+entries 0/+-1, so the residual block is rare and small.  Among a column's
+eligible entries the pivot is the row held by the fewest live columns, ties
+broken by the lower row index, which keeps fill-in down.
 """
 from __future__ import annotations
 
@@ -68,7 +73,10 @@ def boundary_matrix(cx: SimplicialComplex, i: int) -> SparseMatrix:
     """
     if not -1 <= i <= cx.dim:
         raise PreconditionError(f"boundary degree {i} out of range")
-    by_dim = _faces_by_dim(cx)
+    return _boundary(_faces_by_dim(cx), i)
+
+
+def _boundary(by_dim: dict[int, list[tuple[int, ...]]], i: int) -> SparseMatrix:
     top = by_dim.get(i, [])
     bottom = by_dim.get(i - 1, [])
     index = {f: r for r, f in enumerate(bottom)}
@@ -102,35 +110,66 @@ def _rank_bareiss(mat: list[list[int]]) -> int:
     return r
 
 
-def _rank_modp(mat: list[list[int]], p: int) -> int:
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    mat = [[v % p for v in row] for row in mat]
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot_row = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        r += 1
-    return r
-
-
 def rank(m: SparseMatrix, field: FieldSpec) -> int:
-    """Exact rank over the given field."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    dense = m.dense()
-    if field.characteristic == 0:
-        return _rank_bareiss(dense)
-    return _rank_modp(dense, field.characteristic)
+    """Exact rank over the given field, by sparse column elimination.
+
+    Columns are taken in index order.  A pivot (r, j) is eliminated from
+    every live column holding row r, which keeps each such column in the
+    span of the original ones; the pivot column then leaves.  The pivot
+    rows and columns found this way form a triangular block with an
+    invertible diagonal, and every other column is zero on the pivot rows,
+    so the rank is the pivot count plus the rank of the residual block.
+    """
+    p = field.characteristic
+    cols: list[dict[int, int]] = [{} for _ in range(m.cols)]
+    holders: dict[int, set[int]] = {}  # row -> live columns with an entry there
+    for r, c, v in m.entries:
+        if p:
+            v %= p
+        if v:
+            cols[c][r] = v
+            holders.setdefault(r, set()).add(c)
+    pivots = 0
+    residual: list[dict[int, int]] = []
+    for j, col in enumerate(cols):
+        if not col:
+            continue
+        eligible = list(col) if p else [s for s, v in col.items() if v == 1 or v == -1]
+        if not eligible:
+            residual.append(col)  # later pivots still update it in place
+            continue
+        r = eligible[0] if len(eligible) == 1 else min(
+            eligible, key=lambda s: (len(holders[s]), s))
+        pivots += 1
+        inv = pow(col[r], -1, p) if p else col[r]  # a unit is its own inverse
+        for s in col:
+            holders[s].discard(j)
+        for k in holders.pop(r):
+            target = cols[k]
+            a = target.pop(r) * inv
+            for s, b in col.items():
+                if s == r:
+                    continue
+                x = target.get(s, 0) - a * b
+                if p:
+                    x %= p
+                if x:
+                    if s not in target:
+                        holders[s].add(k)
+                    target[s] = x
+                else:
+                    del target[s]
+                    holders[s].discard(k)
+    residual = [col for col in residual if col]
+    if not residual:
+        return pivots
+    rows = sorted({r for col in residual for r in col})
+    index = {r: i for i, r in enumerate(rows)}
+    dense = [[0] * len(residual) for _ in rows]
+    for j, col in enumerate(residual):
+        for r, v in col.items():
+            dense[index[r]][j] = v
+    return pivots + _rank_bareiss(dense)
 
 
 # cache keyed by label-compressed facets: homology ignores the ambient
@@ -158,7 +197,7 @@ def reduced_homology(cx: SimplicialComplex, field: FieldSpec) -> HomologyVector:
         return cached
     by_dim = _faces_by_dim(cx)
     d = cx.dim
-    ranks = {i: rank(boundary_matrix(cx, i), field) for i in range(0, d + 1)}
+    ranks = {i: rank(_boundary(by_dim, i), field) for i in range(0, d + 1)}
     ranks[-1] = 0
     ranks[d + 1] = 0
     dims = []

@@ -1,21 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import pytest
-
+import maxdepth
 from maxdepth import filtration
 from maxdepth.cli import main
-from maxdepth.ideals import DEFAULT_SEARCH_CAP, set_search_cap
-from maxdepth.complexes import DEFAULT_MAX_VERTICES, set_max_vertices
 from maxdepth.linalg import HomologyVector
 
 C8 = "--edges=n=8; edges=1-2,2-3,3-4,4-5,5-6,6-7,7-8,1-8"
-
-
-@pytest.fixture(autouse=True)
-def restore_caps():
-    yield
-    set_search_cap(DEFAULT_SEARCH_CAP)
-    set_max_vertices(DEFAULT_MAX_VERTICES)
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +171,26 @@ class TestExitCodes:
 
 
 class TestDeterminism:
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        # the caps set by one call must not reach the next
+        sequence = (
+            ("--search-cap=4", "analyze", "--gens=x1*x3,x2*x4"),
+            ("analyze", "--gens=x1*x2,x2*x3,x3*x4,x1*x4"),
+            ("--max-vertices=3", "analyze", "--gens=x1*x2"),
+            ("analyze", "--gens=x1*x2,x3*x4"),
+        )
+        in_process = [run_cli(capsys, *argv)[:2] for argv in sequence]
+        env = dict(os.environ, PYTHONPATH=str(Path(maxdepth.__file__).parents[1]))
+        fresh = []
+        for argv in sequence:
+            done = subprocess.run(
+                [sys.executable, "-m", "maxdepth.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            fresh.append((done.returncode, done.stdout))
+        assert [code for code, _ in in_process] == [3, 0, 0, 0]
+        assert in_process == fresh
+
     def test_byte_identical_rerun(self, capsys):
         first = run_cli(capsys, "--format=json", "analyze", C8)
         second = run_cli(capsys, "--format=json", "analyze", C8)

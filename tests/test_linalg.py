@@ -15,6 +15,7 @@ from maxdepth.linalg import (
     reduced_homology,
 )
 from maxdepth.random_instances import random_complex
+from rank_oracle import rank_modp
 
 HOLLOW_TRIANGLE = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
 
@@ -27,15 +28,21 @@ RP2 = SimplicialComplex(
     ),
 )
 
-int_matrices = st.integers(1, 5).flatmap(
-    lambda r: st.integers(1, 5).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-4, 4), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
+def matrices(entries, max_rows=5, max_cols=5):
+    return st.integers(1, max_rows).flatmap(
+        lambda r: st.integers(1, max_cols).flatmap(
+            lambda c: st.lists(
+                st.lists(entries, min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
         )
     )
-)
+
+
+int_matrices = matrices(st.integers(-4, 4))
+# no entry is a unit, so over QQ every nonzero column goes to the residual block
+non_unit_matrices = matrices(st.sampled_from([0, 2, -2, 3, -3, 6, -6]), 6, 6)
 
 
 def sparse_from_dense(rows):
@@ -96,6 +103,42 @@ class TestRank:
     def test_prime_field_rank_bounded_by_rational(self, rows, p):
         m = sparse_from_dense(rows)
         assert rank(m, FieldSpec(p)) <= rank(m, QQ)
+
+    @given(non_unit_matrices)
+    @settings(max_examples=100)
+    def test_residual_block_matches_sympy(self, rows):
+        assert rank(sparse_from_dense(rows), QQ) == sympy.Matrix(rows).rank()
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # the unit pivot (0, 0) turns column 1's 3 into 1
+            ([[1, 2], [1, 3]], 2),
+            # column 0 has no unit; pivoting on column 1 gives it one
+            ([[2, 1], [3, 1]], 2),
+            # column 0 first lacks a unit, then is left dependent on column 1
+            ([[2, 1], [2, 1], [0, 0]], 1),
+            ([[2, 1, 0], [3, 1, 1], [5, 2, 1]], 2),
+            ([[2, 1, 0], [3, 1, 1], [4, 2, 3]], 3),
+        ],
+    )
+    def test_units_that_appear_during_elimination(self, rows, expected):
+        assert sympy.Matrix(rows).rank() == expected
+        assert rank(sparse_from_dense(rows), QQ) == expected
+
+    @given(int_matrices, st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=150)
+    def test_prime_field_rank_matches_dense_oracle(self, rows, p):
+        assert rank(sparse_from_dense(rows), FieldSpec(p)) == rank_modp(rows, p)
+
+    @given(complexes)
+    @settings(max_examples=60)
+    def test_boundary_matrices_match_oracles(self, cx):
+        for i in range(0, cx.dim + 1):
+            m = boundary_matrix(cx, i)
+            dense = m.dense()
+            assert rank(m, QQ) == sympy.Matrix(dense).rank()
+            assert rank(m, F2) == rank_modp(dense, 2)
 
     @given(int_matrices, st.integers(0, 10 ** 6))
     @settings(max_examples=60)
