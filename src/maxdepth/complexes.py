@@ -56,17 +56,17 @@ class SimplicialComplex:
     def __post_init__(self):
         if self.n < 0:
             raise MalformedInputError("vertex count must be non-negative")
-        cleaned = {tuple(sorted(set(f))) for f in self.facets}
-        for f in cleaned:
-            if any(v < 0 or v >= self.n for v in f):
-                raise MalformedInputError("facet vertex out of range")
-        maximal = [
-            f for f in cleaned
-            if not any(g != f and set(f) <= set(g) for g in cleaned)
-        ]
-        if not maximal:
-            maximal = [()]
-        object.__setattr__(self, "facets", tuple(sorted(maximal, key=_facet_key)))
+        cleaned = sorted({tuple(sorted(set(f))) for f in self.facets}, key=_facet_key)
+        if any(f and (f[0] < 0 or f[-1] >= self.n) for f in cleaned):
+            raise MalformedInputError("facet vertex out of range")
+        # largest first: a facet can only lie strictly inside a larger one, and
+        # `<` on frozensets compares sizes before it tests members
+        maximal: dict[frozenset[int], tuple[int, ...]] = {}
+        for f in reversed(cleaned):
+            s = frozenset(f)
+            if not any(map(s.__lt__, maximal)):
+                maximal[s] = f
+        object.__setattr__(self, "facets", tuple(reversed(maximal.values())) or ((),))
 
     @property
     def dim(self) -> int:

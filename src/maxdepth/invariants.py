@@ -165,7 +165,6 @@ def depth(I: MonomialIdeal) -> int:
     return profile(I).depth
 
 
-@lru_cache(maxsize=None)
 def profile(I: MonomialIdeal) -> ModuleProfile:
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")

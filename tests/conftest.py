@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from maxdepth.complexes import to_ideal
-from maxdepth.ideals import F2, QQ
+from maxdepth.complexes import SimplicialComplex, to_ideal
+from maxdepth.ideals import F2, QQ, ring
 from maxdepth.random_instances import random_complex, random_monomial_ideal
 
 POOL_SEED = 20260824
@@ -25,6 +25,20 @@ def pool_small():
     """200 random squarefree ideals on 3-6 vertices (face-heavy suites)."""
     rng = random.Random(POOL_SEED + 1)
     return [to_ideal(random_complex(rng, rng.randint(3, 6))) for _ in range(200)]
+
+
+@pytest.fixture(scope="session")
+def pool_low_dim():
+    """200 random complexes of dimension at most 2 on 4-7 vertices (about a
+    third fail to be sequentially CM), each as its ideal over QQ and GF(2)."""
+    rng = random.Random(POOL_SEED + 4)
+    ideals = []
+    for _ in range(200):
+        n = rng.randint(4, 7)
+        facets = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(rng.randint(2, 2 * n))]
+        cx = SimplicialComplex(n, tuple(facets))
+        ideals += [to_ideal(cx, ring(n, field)) for field in (QQ, F2)]
+    return ideals
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,40 @@
+"""Sequential CM witnesses and Psupp by scanning links one face at a time:
+the independent oracle for the table readings in `maxdepth.filtration`.
+
+These were the engine's own routes before both answers were read off the
+cached Hochster tables.
+"""
+from maxdepth.complexes import all_faces, from_squarefree_ideal, link, pure_skeleton
+from maxdepth.invariants import complex_table
+from maxdepth.linalg import reduced_homology
+
+
+def seqcm_by_rescan(I):
+    """(status, skeleton, face, degree) from Reisner's criterion on each pure
+    skeleton, tested link by link; the first face with homology below its
+    link's dimension is the witness."""
+    field = I.ring.field_spec
+    cx = from_squarefree_ideal(I)
+    for i in range(cx.dim + 1):
+        sk = pure_skeleton(cx, i)
+        for s in all_faces(sk):
+            lk = link(sk, s)
+            for j, h in reduced_homology(lk, field).dims:
+                if h and j < lk.dim:
+                    return ("false", i, s, j)
+    return ("true", None, None, None)
+
+
+def psupp_by_link_tables(I, i):
+    """Faces F whose link's own table is nonzero in degree i - |F|."""
+    field = I.ring.field_spec
+    cx = from_squarefree_ideal(I)
+    hits = []
+    for face in all_faces(cx):
+        j = i - len(face)
+        if j < 0:
+            continue
+        t = complex_table(link(cx, face), field)
+        if j < len(t.degrees) and t.at(j).nonzero:
+            hits.append(face)
+    return tuple(hits)

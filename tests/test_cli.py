@@ -5,9 +5,9 @@ import sys
 from pathlib import Path
 
 import maxdepth
-from maxdepth import filtration
+from maxdepth import invariants
 from maxdepth.cli import main
-from maxdepth.linalg import HomologyVector
+from maxdepth.invariants import HochsterTable
 
 C8 = "--edges=n=8; edges=1-2,2-3,3-4,4-5,5-6,6-7,7-8,1-8"
 
@@ -158,13 +158,16 @@ class TestExitCodes:
         assert code == 4 and "error kind=" in err
 
     def test_internal_check_is_reported(self, capsys, monkeypatch):
-        # a seqCM witness scan that finds no homology must fail as an engine error
-        monkeypatch.setattr(filtration, "reduced_homology", lambda cx, field: HomologyVector(()))
-        code, out, err = run_cli(capsys, "seqcm", C8)
+        # a table whose dimension disagrees with Ass must fail as an engine error
+        table = invariants.complex_table
+        monkeypatch.setattr(
+            invariants, "complex_table",
+            lambda cx, field: HochsterTable(table(cx, field).degrees[:-1]),
+        )
+        code, out, err = run_cli(capsys, "analyze", C8)
         assert code == 1 and "error kind=internal-check" in err
 
     def test_vertex_cap_is_3(self, capsys):
-        # a graph not analyzed elsewhere, so no cached profile bypasses the cap
         c9 = "--edges=n=9; edges=1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9,1-9"
         code, out, err = run_cli(capsys, "--max-vertices=4", "analyze", c9)
         assert code == 3
@@ -172,12 +175,17 @@ class TestExitCodes:
 
 class TestDeterminism:
     def test_calls_in_one_process_match_fresh_processes(self, capsys):
-        # the caps set by one call must not reach the next
+        # the caps set by one call must not reach the next, and a warm call
+        # must not let a capped repeat on the same ideal through
+        c10 = "--edges=n=10; edges=1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9,9-10,1-10"
         sequence = (
             ("--search-cap=4", "analyze", "--gens=x1*x3,x2*x4"),
             ("analyze", "--gens=x1*x2,x2*x3,x3*x4,x1*x4"),
             ("--max-vertices=3", "analyze", "--gens=x1*x2"),
             ("analyze", "--gens=x1*x2,x3*x4"),
+            ("analyze", c10),
+            ("--search-cap=5", "analyze", c10),
+            ("--max-vertices=4", "analyze", c10),
         )
         in_process = [run_cli(capsys, *argv)[:2] for argv in sequence]
         env = dict(os.environ, PYTHONPATH=str(Path(maxdepth.__file__).parents[1]))
@@ -188,7 +196,7 @@ class TestDeterminism:
                 capture_output=True, text=True, env=env, timeout=60,
             )
             fresh.append((done.returncode, done.stdout))
-        assert [code for code, _ in in_process] == [3, 0, 0, 0]
+        assert [code for code, _ in in_process] == [3, 0, 0, 0, 0, 3, 3]
         assert in_process == fresh
 
     def test_byte_identical_rerun(self, capsys):

@@ -199,6 +199,12 @@ class TestIngestion:
         with pytest.raises(MalformedInputError):
             parse_edge_list("edges=1-2")
 
+    def test_facet_vertices_in_range_and_facets_maximal(self):
+        for facet in ((0, 3), (-1, 0)):
+            with pytest.raises(MalformedInputError):
+                SimplicialComplex(3, ((0, 1), facet))
+        assert SimplicialComplex(3, ((2, 0), (0,), (0, 2), (1,))).facets == ((1,), (0, 2))
+
     def test_facet_json_roundtrip(self):
         cx = SimplicialComplex(4, ((0, 1, 2), (2, 3)))
         assert complex_from_json(complex_to_json(cx)) == cx

@@ -9,6 +9,7 @@ from maxdepth.ideals import (
     associated_primes,
     intersect_all,
     parse_generators,
+    primary_decomposition,
     prime_ideal,
     ring,
     unit_ideal,
@@ -30,6 +31,7 @@ from maxdepth.filtration import (
 from maxdepth.regress import C8_PRIMES, c8_ideal, two_planes_ideal
 
 from colon_oracle import colon_search_ass
+from reisner_oracle import psupp_by_link_tables, seqcm_by_rescan
 
 
 def mk(n, *exps):
@@ -107,9 +109,15 @@ class TestDimensionFiltration:
 
     def test_pool_ass_levels_partition_ass(self, pool_mixed):
         for I in pool_mixed:
-            collected = [p for lv in dimension_filtration(I).levels for p in lv.ass_level]
+            f = dimension_filtration(I)
+            collected = [p for lv in f.levels for p in lv.ass_level]
             assert len(collected) == len(set(collected)), I.format()
             assert set(collected) == colon_search_ass(I), I.format()
+            # the nested levels equal the intersection taken level by level
+            comps = primary_decomposition(I)
+            for lv in f.levels:
+                above = (c for rad, c in comps if rad.dim_in(I.ring) > lv.index)
+                assert lv.ideal == intersect_all(I.ring, above), I.format()
 
 
 class TestMdepthChain:
@@ -201,6 +209,12 @@ class TestSequentiallyCM:
         with pytest.raises(UndefinedModuleError):
             is_sequentially_cm(unit_ideal(ring(2)))
 
+    def test_pool_matches_reisner_rescan(self, pool_low_dim):
+        for I in pool_low_dim:
+            res = is_sequentially_cm(I)
+            got = (res.status, res.witness_skeleton, res.witness_face, res.witness_degree)
+            assert got == seqcm_by_rescan(I), I.format()
+
     @given(small_ideals)
     @settings(max_examples=40, deadline=None)
     def test_seqcm_implies_maximal_depth(self, I):
@@ -273,6 +287,11 @@ class TestPsupp:
     def test_non_squarefree_rejected(self):
         with pytest.raises(SquarefreeRequiredError):
             psupp_monomial(mk(2, (2, 0)), 1)
+
+    def test_pool_matches_link_tables(self, pool_low_dim):
+        for I in pool_low_dim:
+            for i in range(-1, I.ring.n + 2):
+                assert psupp_monomial(I, i).faces == psupp_by_link_tables(I, i), (I.format(), i)
 
 
 class TestProbe:
