@@ -19,8 +19,8 @@ from .ideals import (
 )
 from .complexes import (
     all_faces,
+    facet_subcomplex_min_dim,
     from_squarefree_ideal,
-    pure_skeleton,
     to_ideal,
 )
 from .invariants import (
@@ -159,12 +159,22 @@ class SeqCMResult:
 
 
 def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
-    """Pure-skeleton criterion (Duval): every pure i-skeleton Cohen-Macaulay.
+    """Pure-skeleton criterion (Duval 1996): every pure i-skeleton
+    Delta^[i] Cohen-Macaulay.
 
-    Reisner's criterion is read off each skeleton's cached table: its links
-    of faces s have dimension i - |s|, so a contribution (s, h) at degree
-    k < i + 1 is a link with homology below its dimension, in degree
-    k - |s| - 1.  The witness is the least (|s|, s, degree).
+    Reisner's criterion on Delta^[i] asks that each link of a face s, of
+    dimension i - |s|, have no homology below its dimension, that is no
+    contribution (s, h) at a degree k < i + 1 of the skeleton's table, in
+    homology degree k - |s| - 1.  The witness is the least (|s|, s, degree).
+
+    The verdict is read off the table of Delta_{>=i}, the subcomplex
+    generated by the facets of dimension >= i, instead of Delta^[i] itself.
+    Delta^[i] is the i-skeleton of Delta_{>=i}, links commute with taking
+    skeleta (lk_{X^(m)} s = (lk_X s)^(m-|s|)), and a skeleton has the
+    homology of the whole complex below its top dimension.  So both tables
+    hold the same contributions at every degree k < i + 1.  Delta_{>=0} is
+    Delta, whose table `profile` caches, and Delta_{>=i} changes only at
+    the facet sizes of Delta.
 
     Non-squarefree input is reported undecided; the filtration-based
     check only produces intervals there.
@@ -176,7 +186,7 @@ def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
     field_spec = I.ring.field_spec
     cx = from_squarefree_ideal(I)
     for i in range(cx.dim + 1):
-        t = complex_table(pure_skeleton(cx, i), field_spec)
+        t = complex_table(facet_subcomplex_min_dim(cx, i), field_spec)
         low = [(len(s), s, k - len(s) - 1) for k in range(i + 1) for s, _ in t.at(k).contributions]
         if low:
             return SeqCMResult("false", i, *min(low)[1:])

@@ -6,6 +6,8 @@ success; the CLI `regress` command exits nonzero on any mismatch.
 from __future__ import annotations
 
 from .ideals import (
+    F2,
+    QQ,
     Monomial,
     PrimeSupport,
     associated_primes,
@@ -18,7 +20,13 @@ from .ideals import (
     ring,
     tensor_join,
 )
-from .complexes import cycle_edge_ideal, from_squarefree_ideal, minimal_primes
+from .complexes import (
+    SimplicialComplex,
+    cycle_edge_ideal,
+    from_squarefree_ideal,
+    minimal_primes,
+    to_ideal,
+)
 from .invariants import depth, krull_dim, mdepth, profile, projdim
 from .filtration import (
     att_report,
@@ -93,6 +101,17 @@ def _checks():
     yield "C8 not sequentially CM", is_sequentially_cm(I8).status == "false"
     yield "C3 sequentially CM", is_sequentially_cm(cycle_edge_ideal(3)).status == "true"
     yield "C5 sequentially CM", is_sequentially_cm(cycle_edge_ideal(5)).status == "true"
+
+    # two triangles glued at vertex 3, plus an isolated vertex 6: the pure
+    # 2-skeleton drops the isolated vertex, and the link of vertex 3 in it
+    # is two disjoint edges, disconnected below its dimension 1
+    two_triangles = SimplicialComplex(6, ((0, 1, 2), (2, 3, 4), (5,)))
+    for field in (QQ, F2):
+        res = is_sequentially_cm(to_ideal(two_triangles, ring(6, field)))
+        witness = (res.status, res.witness_skeleton, res.witness_face, res.witness_degree)
+        yield f"non-pure seqCM witness over {field.label}: skeleton 2, vertex 3, H~_0", (
+            witness == ("false", 2, (2,), 0)
+        )
 
     att8 = att_report(I8)
     yield "C8 top attached primes are the two 4-dimensional ones", (

@@ -42,6 +42,21 @@ def pool_low_dim():
 
 
 @pytest.fixture(scope="session")
+def pool_mixed_dim():
+    """200 random complexes on 5-8 vertices with 2..n facets of 1-5 vertices,
+    mostly non-pure and of dimension up to 4 (over a quarter fail to be
+    sequentially CM), each as its ideal over QQ and GF(2)."""
+    rng = random.Random(POOL_SEED + 5)
+    ideals = []
+    for _ in range(200):
+        n = rng.randint(5, 8)
+        facets = [rng.sample(range(n), rng.randint(1, 5)) for _ in range(rng.randint(2, n))]
+        cx = SimplicialComplex(n, tuple(facets))
+        ideals += [to_ideal(cx, ring(n, field)) for field in (QQ, F2)]
+    return ideals
+
+
+@pytest.fixture(scope="session")
 def pool_pairs():
     """200 pairs of small ideals for tensor-join suites."""
     rng = random.Random(POOL_SEED + 2)

@@ -1,12 +1,23 @@
-"""Sequential CM witnesses and Psupp by scanning links one face at a time:
-the independent oracle for the table readings in `maxdepth.filtration`.
+"""Hochster tables, sequential CM witnesses and Psupp by scanning links one
+face at a time: the independent oracle for the face scan in
+`maxdepth.invariants` and the table readings in `maxdepth.filtration`.
 
-These were the engine's own routes before both answers were read off the
-cached Hochster tables.
+These were the engine's own routes before cone links were skipped and both
+answers were read off the cached Hochster tables.
 """
 from maxdepth.complexes import all_faces, from_squarefree_ideal, link, pure_skeleton
 from maxdepth.invariants import complex_table
 from maxdepth.linalg import reduced_homology
+
+
+def table_by_all_faces(cx, field):
+    """Contributions (s, h) per degree 0..dim k[cx], from the homology of the
+    link of every face, cones included."""
+    contribs = [[] for _ in range(cx.dim + 2)]
+    for s in all_faces(cx):
+        for j, h in reduced_homology(link(cx, s), field).dims:
+            contribs[j + len(s) + 1].append((s, h))
+    return tuple(tuple(c) for c in contribs)
 
 
 def seqcm_by_rescan(I):

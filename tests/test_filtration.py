@@ -215,6 +215,14 @@ class TestSequentiallyCM:
             got = (res.status, res.witness_skeleton, res.witness_face, res.witness_degree)
             assert got == seqcm_by_rescan(I), I.format()
 
+    def test_mixed_dim_pool_matches_reisner_rescan(self, pool_mixed_dim):
+        # non-pure complexes up to dimension 4: the verdict read off the
+        # facet subcomplexes against the link-by-link pure-skeleton scan
+        for I in pool_mixed_dim:
+            res = is_sequentially_cm(I)
+            got = (res.status, res.witness_skeleton, res.witness_face, res.witness_degree)
+            assert got == seqcm_by_rescan(I), I.format()
+
     @given(small_ideals)
     @settings(max_examples=40, deadline=None)
     def test_seqcm_implies_maximal_depth(self, I):

@@ -9,6 +9,7 @@ from maxdepth.errors import (
 )
 from maxdepth.ideals import (
     F2,
+    FieldSpec,
     Monomial,
     MonomialIdeal,
     PrimeSupport,
@@ -25,6 +26,7 @@ from maxdepth.complexes import (
     all_faces,
     cycle_edge_ideal,
     from_squarefree_ideal,
+    pure_skeleton,
     to_ideal,
 )
 from maxdepth.invariants import (
@@ -40,6 +42,8 @@ from maxdepth.invariants import (
     projdim,
 )
 from maxdepth.regress import C8_PRIMES, c8_ideal, two_planes_ideal
+
+from reisner_oracle import table_by_all_faces
 
 RP2 = SimplicialComplex(
     6,
@@ -307,3 +311,12 @@ class TestComplexTable:
         cx = from_squarefree_ideal(c8_ideal())
         t = complex_table(cx, QQ)
         assert (t.depth, t.dim) == (3, 4)
+
+    def test_cone_skip_matches_all_faces_scan(self, pool_low_dim, pool_mixed_dim):
+        # every complex of both pools and each of its pure skeleta
+        cxs = {from_squarefree_ideal(I) for I in pool_low_dim + pool_mixed_dim}
+        cxs |= {pure_skeleton(cx, i) for cx in cxs for i in range(-1, cx.dim + 1)}
+        for cx in sorted(cxs, key=lambda c: (c.n, c.facets)):
+            for field in (QQ, F2, FieldSpec(3)):
+                got = tuple(d.contributions for d in complex_table(cx, field).degrees)
+                assert got == table_by_all_faces(cx, field), (cx, field)
