@@ -10,7 +10,6 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     CapExceededError,
@@ -28,6 +27,7 @@ from .ideals import (
     QQ,
     RingDescriptor,
     _minimal_transversals,
+    minimal_covers,
     ring,
     zero_ideal,
 )
@@ -80,7 +80,6 @@ class SimplicialComplex:
         return tuple(sorted({v for f in self.facets for v in f}))
 
 
-@lru_cache(maxsize=None)
 def all_faces(cx: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """Every face (including the empty one), canonically sorted."""
     seen: set[tuple[int, ...]] = set()
@@ -90,12 +89,13 @@ def all_faces(cx: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen, key=_facet_key))
 
 
-def from_squarefree_ideal(
-    I: MonomialIdeal, max_vertices: int | None = None
-) -> SimplicialComplex:
-    """The complex whose faces carry no generator support (Stanley-Reisner)."""
-    if max_vertices is None:
-        max_vertices = _max_vertices
+def from_squarefree_ideal(I: MonomialIdeal) -> SimplicialComplex:
+    """The complex whose faces carry no generator support (Stanley-Reisner).
+
+    Its facets are the complements of the minimal vertex covers of I, read
+    off the cover search that also gives Ass; for squarefree I every cover
+    is a set of pairs (i, 1).  The vertex cap is checked before the search.
+    """
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal has no Stanley-Reisner complex")
     if not I.is_squarefree:
@@ -103,11 +103,9 @@ def from_squarefree_ideal(
             "ideal is not squarefree; polarize before building the complex"
         )
     n = I.ring.n
-    if n > max_vertices:
-        raise CapExceededError(f"{n} vertices exceeds cap {max_vertices}")
-    edges = [frozenset(g.support) for g in I.gens]
-    covers = _minimal_transversals(edges)
-    facets = tuple(tuple(sorted(set(range(n)) - c)) for c in covers)
+    if n > _max_vertices:
+        raise CapExceededError(f"{n} vertices exceeds cap {_max_vertices}")
+    facets = tuple(tuple(v for v in range(n) if (v, 1) not in c) for c in minimal_covers(I))
     return SimplicialComplex(n, facets)
 
 
@@ -235,9 +233,3 @@ def complex_from_json(data) -> SimplicialComplex:
         raise MalformedInputError(f"bad facet JSON: {exc}") from exc
     return SimplicialComplex(n, tuple(facets))
 
-
-def complex_to_json(cx: SimplicialComplex) -> dict:
-    return {
-        "vertices": cx.n,
-        "facets": [[v + 1 for v in f] for f in cx.facets],
-    }

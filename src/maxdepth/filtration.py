@@ -23,11 +23,7 @@ from .complexes import (
     from_squarefree_ideal,
     to_ideal,
 )
-from .invariants import (
-    ModuleProfile,
-    complex_table,
-    profile,
-)
+from .invariants import complex_table, profile
 from .random_instances import random_complex
 
 

@@ -115,9 +115,6 @@ class Monomial:
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def colon_by(self, u: "Monomial") -> "Monomial":
         """self / gcd(self, u)."""
         return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exponents, u.exponents)))
@@ -317,13 +314,21 @@ def _polarized_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...
     The polarization vertex x_{i,j} is the pair (i, j), so the generator x^a
     is the edge {(i, j) : 1 <= j <= a_i}.  A minimal cover holds at most one
     pair per variable: (i, k) lies on every edge through (i, j) for j > k.
-    The cache is keyed on the cap, so a lowered cap is never bypassed.
+    The cache is keyed on the cap, so a lowered cap is never bypassed; call
+    it through `minimal_covers`, which supplies the cap.
     """
     edges = [
         frozenset((i, j) for i, e in enumerate(g.exponents) for j in range(1, e + 1))
         for g in I.gens
     ]
     return tuple(_minimal_transversals(edges, search_cap))
+
+
+def minimal_covers(I: MonomialIdeal, search_cap: int | None = None) -> tuple[frozenset, ...]:
+    """The one cover search behind Ass, the decompositions and the
+    Stanley-Reisner facets: minimal vertex covers of pol I, under
+    `search_cap` (default: the module cap)."""
+    return _polarized_covers(I, _search_cap if search_cap is None else search_cap)
 
 
 def associated_primes(
@@ -340,11 +345,7 @@ def associated_primes(
     """
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")
-    if search_cap is None:
-        search_cap = _search_cap
-    return frozenset(
-        PrimeSupport.of(i for i, _ in c) for c in _polarized_covers(I, search_cap)
-    )
+    return frozenset(PrimeSupport.of(i for i, _ in c) for c in minimal_covers(I, search_cap))
 
 
 def minimal_primes_of(I: MonomialIdeal) -> frozenset[PrimeSupport]:
@@ -391,7 +392,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
 
     kept = [
         MonomialIdeal(rng, tuple(variable(rng, i, j) for i, j in c))
-        for c in _polarized_covers(I, _search_cap)
+        for c in minimal_covers(I)
         if tight(c)
     ]
     return tuple(sorted(kept, key=lambda c: tuple(_graded_lex_key(g) for g in c.gens)))
@@ -449,17 +450,6 @@ def polarize(I: MonomialIdeal) -> Polarization:
         new_ring.n - rng.n,
         tuple(owner),
     )
-
-
-def specialize_polarization(pol: Polarization, original: RingDescriptor) -> MonomialIdeal:
-    """Inverse map x_{i,j} -> x_i; recovers the ideal that was polarized."""
-    gens = []
-    for g in pol.ideal.gens:
-        exps = [0] * original.n
-        for j, e in enumerate(g.exponents):
-            exps[pol.slot_owner[j]] += e
-        gens.append(Monomial(tuple(exps)))
-    return MonomialIdeal(original, tuple(gens))
 
 
 def tensor_join(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -33,7 +33,6 @@ from .complexes import (
     all_faces,
     from_squarefree_ideal,
     link,
-    minimal_primes,
     to_ideal,
 )
 from .linalg import reduced_homology
@@ -43,9 +42,22 @@ from .linalg import reduced_homology
 class HochsterDegree:
     degree: int
     contributions: tuple[tuple[tuple[int, ...], int], ...]  # (face, homology dim)
-    nonzero: bool
-    finite_length: bool
-    k_dim: int | None  # total K-dimension when finite length
+
+    @property
+    def nonzero(self) -> bool:
+        return bool(self.contributions)
+
+    @property
+    def finite_length(self) -> bool:
+        """Only the empty face contributes."""
+        return all(s == () for s, _ in self.contributions)
+
+    @property
+    def k_dim(self) -> int | None:
+        """Total K-dimension when finite length, else None."""
+        if not self.finite_length:
+            return None
+        return sum(h for _, h in self.contributions)
 
 
 @dataclass(frozen=True)
@@ -95,53 +107,22 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
         hv = reduced_homology(lk, field)
         for j, h in hv.dims:
             contribs[j + len(s) + 1].append((s, h))
-    degrees = []
-    for i in range(d + 1):
-        entries = tuple(contribs[i])
-        nonzero = bool(entries)
-        finite = all(s == () for s, _ in entries)
-        k_dim = sum(h for s, h in entries if s == ()) if finite else None
-        degrees.append(HochsterDegree(i, entries, nonzero, finite, k_dim))
-    return HochsterTable(tuple(degrees))
+    return HochsterTable(tuple(HochsterDegree(i, tuple(contribs[i])) for i in range(d + 1)))
 
 
-def complex_depth(cx: SimplicialComplex, field: FieldSpec) -> int:
-    return complex_table(cx, field).depth
-
-
-def complex_is_cm(cx: SimplicialComplex, field: FieldSpec) -> bool:
-    t = complex_table(cx, field)
-    return t.depth == t.dim
-
-
-def _shifted_table(I: MonomialIdeal) -> tuple[HochsterTable, tuple[PrimeSupport, ...]]:
-    """Table and Ass for S/I, read off one complex.
-
-    Non-squarefree ideals go through polarization.  The facet complements
-    of the complex are the minimal vertex covers of pol I; sending each
-    vertex back to its variable gives Ass(S/I), as in `associated_primes`.
-    """
+def _shifted_table(I: MonomialIdeal) -> HochsterTable:
+    """Table of S/I: non-squarefree ideals go through polarization, whose
+    table is shifted down by the number of added variables."""
     field = I.ring.field_spec
     if I.is_squarefree:
-        cx = from_squarefree_ideal(I)
-        return complex_table(cx, field), tuple(sorted(minimal_primes(cx)))
+        return complex_table(from_squarefree_ideal(I), field)
     pol = polarize(I)
-    cx = from_squarefree_ideal(pol.ideal)
-    ass = {
-        PrimeSupport.of(pol.slot_owner[v] for v in range(cx.n) if v not in f)
-        for f in cx.facets
-    }
-    raw = complex_table(cx, field)
+    raw = complex_table(from_squarefree_ideal(pol.ideal), field)
     a = pol.added_vars
-    for d in raw.degrees:
-        if d.degree < a and d.nonzero:
-            raise InternalCheckError("polarized table nonzero below the shift")
-    degrees = tuple(
-        HochsterDegree(d.degree - a, d.contributions, d.nonzero, d.finite_length, d.k_dim)
-        for d in raw.degrees
-        if d.degree >= a
-    )
-    return HochsterTable(degrees, polarized=True), tuple(sorted(ass))
+    if any(d.nonzero for d in raw.degrees[:a]):
+        raise InternalCheckError("polarized table nonzero below the shift")
+    degrees = tuple(HochsterDegree(d.degree - a, d.contributions) for d in raw.degrees[a:])
+    return HochsterTable(degrees, polarized=True)
 
 
 @dataclass(frozen=True)
@@ -152,16 +133,34 @@ class ModuleProfile:
     depth: int
     mdepth: int
     ass: tuple[PrimeSupport, ...]
-    assd: tuple[PrimeSupport, ...]
-    maximal_depth: bool
-    cohen_macaulay: bool
-    unmixed: bool
-    generalized_cm: bool
     hochster: HochsterTable
 
     @property
     def field(self) -> FieldSpec:
         return self.ring.field_spec
+
+    @property
+    def assd(self) -> tuple[PrimeSupport, ...]:
+        """Associated primes p with dim R/p = depth."""
+        return tuple(p for p in self.ass if p.dim_in(self.ring) == self.depth)
+
+    @property
+    def maximal_depth(self) -> bool:
+        """depth M = dim R/p for some p in Ass M, that is depth = mdepth."""
+        return self.depth == self.mdepth
+
+    @property
+    def cohen_macaulay(self) -> bool:
+        return self.depth == self.dim
+
+    @property
+    def unmixed(self) -> bool:
+        return self.dim == self.mdepth
+
+    @property
+    def generalized_cm(self) -> bool:
+        """Every H^i below the dimension has finite length."""
+        return all(self.hochster.at(i).finite_length for i in range(self.dim))
 
 
 def krull_dim(I: MonomialIdeal) -> int:
@@ -186,29 +185,15 @@ def profile(I: MonomialIdeal) -> ModuleProfile:
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")
     rng = I.ring
-    table, ass = _shifted_table(I)
+    table = _shifted_table(I)  # before Ass, so the vertex cap is checked first
+    ass = tuple(sorted(associated_primes(I)))
     dims = [p.dim_in(rng) for p in ass]
-    dim_m, mdepth_m = max(dims), min(dims)
-    depth_m = table.depth
-    if table.dim != dim_m:
+    if table.dim != max(dims):
         raise InternalCheckError(
-            f"table dimension {table.dim} disagrees with Krull dimension {dim_m}"
+            f"table dimension {table.dim} disagrees with Krull dimension {max(dims)}"
         )
-    assd = tuple(p for p in ass if p.dim_in(rng) == depth_m)
-    unmixed = dim_m == mdepth_m
-    gcm = all(table.at(i).finite_length for i in range(dim_m))
     return ModuleProfile(
-        ring=rng,
-        ideal=I,
-        dim=dim_m,
-        depth=depth_m,
-        mdepth=mdepth_m,
-        ass=ass,
-        assd=assd,
-        maximal_depth=depth_m == mdepth_m,
-        cohen_macaulay=depth_m == dim_m,
-        unmixed=unmixed,
-        generalized_cm=gcm,
+        ring=rng, ideal=I, dim=table.dim, depth=table.depth, mdepth=min(dims), ass=ass,
         hochster=table,
     )
 
@@ -233,7 +218,6 @@ def _upper_koszul(I: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     return SimplicialComplex(n, tuple(faces))
 
 
-@lru_cache(maxsize=None)
 def projdim(I: MonomialIdeal) -> int:
     """Projective dimension of S/I via multigraded Betti numbers.
 
@@ -242,8 +226,6 @@ def projdim(I: MonomialIdeal) -> int:
     """
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")
-    if I.is_zero:
-        return 0
     field = I.ring.field_spec
     lattice: set[Monomial] = set()
     frontier = set(I.gens)
@@ -305,31 +287,16 @@ def direct_sum_profile(profiles: list[ModuleProfile]) -> ModuleProfile:
     if len(profiles) == 1:
         return profiles[0]
     ass = tuple(sorted({p for pr in profiles for p in pr.ass}))
-    dims = [p.dim_in(rng) for p in ass]
-    depth_s = min(p.depth for p in profiles)
     dim_s = max(p.dim for p in profiles)
-    mdepth_s = min(dims)
-    assd = tuple(p for p in ass if p.dim_in(rng) == depth_s)
-    merged = []
-    for i in range(dim_s + 1):
-        parts = [p.hochster.at(i) for p in profiles if i < len(p.hochster.degrees)]
-        contributions = tuple(c for d in parts for c in d.contributions)
-        nonzero = any(d.nonzero for d in parts)
-        finite = all(d.finite_length for d in parts)
-        k_dim = sum(d.k_dim for d in parts) if finite else None
-        merged.append(HochsterDegree(i, contributions, nonzero, finite, k_dim))
-    table = HochsterTable(tuple(merged), polarized=any(p.hochster.polarized for p in profiles))
+    merged = tuple(
+        HochsterDegree(i, tuple(
+            c for p in profiles if i < len(p.hochster.degrees)
+            for c in p.hochster.at(i).contributions
+        ))
+        for i in range(dim_s + 1)
+    )
     return ModuleProfile(
-        ring=rng,
-        ideal=None,
-        dim=dim_s,
-        depth=depth_s,
-        mdepth=mdepth_s,
-        ass=ass,
-        assd=assd,
-        maximal_depth=depth_s == mdepth_s,
-        cohen_macaulay=depth_s == dim_s,
-        unmixed=dim_s == mdepth_s,
-        generalized_cm=all(merged[i].finite_length for i in range(dim_s)),
-        hochster=table,
+        ring=rng, ideal=None, dim=dim_s, depth=min(p.depth for p in profiles),
+        mdepth=min(p.dim_in(rng) for p in ass), ass=ass,
+        hochster=HochsterTable(merged, polarized=any(p.hochster.polarized for p in profiles)),
     )

@@ -11,7 +11,6 @@ broken by the lower row index, which keeps fill-in down.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import MalformedInputError, PreconditionError

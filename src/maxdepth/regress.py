@@ -8,7 +8,6 @@ from __future__ import annotations
 from .ideals import (
     F2,
     QQ,
-    Monomial,
     PrimeSupport,
     associated_primes,
     intersect_all,
@@ -27,7 +26,7 @@ from .complexes import (
     minimal_primes,
     to_ideal,
 )
-from .invariants import depth, krull_dim, mdepth, profile, projdim
+from .invariants import depth, profile, projdim
 from .filtration import (
     att_report,
     dimension_filtration,

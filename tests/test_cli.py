@@ -172,6 +172,13 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "--max-vertices=4", "analyze", c9)
         assert code == 3
 
+    def test_vertex_cap_checked_before_search_cap(self, capsys):
+        # with both caps exceeded the vertex cap speaks first, on squarefree
+        # and on polarized input
+        for gens in ("--gens=x1*x2,x3*x4", "--gens=x1^2*x2,x3*x4"):
+            code, out, err = run_cli(capsys, "--search-cap=2", "--max-vertices=3", "analyze", gens)
+            assert code == 3 and "vertices exceeds cap 3" in err, gens
+
 
 class TestDeterminism:
     def test_calls_in_one_process_match_fresh_processes(self, capsys):

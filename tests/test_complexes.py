@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxdepth.errors import (
+    CapExceededError,
     MalformedInputError,
     NotInSupportError,
     PreconditionError,
@@ -16,13 +17,13 @@ from maxdepth.ideals import (
     associated_primes,
     parse_generators,
     ring,
+    set_search_cap,
     zero_ideal,
 )
 from maxdepth.complexes import (
     SimplicialComplex,
     all_faces,
     complex_from_json,
-    complex_to_json,
     cone_vertices,
     cycle_edge_ideal,
     facet_subcomplex_min_dim,
@@ -33,6 +34,7 @@ from maxdepth.complexes import (
     pure_skeleton,
     to_ideal,
 )
+from maxdepth.invariants import profile
 from maxdepth.random_instances import random_complex
 from maxdepth.regress import C8_PRIMES
 
@@ -64,6 +66,18 @@ class TestFromSquarefreeIdeal:
     def test_non_squarefree_rejected(self):
         with pytest.raises(SquarefreeRequiredError):
             from_squarefree_ideal(parse_generators("x1^2"))
+
+    def test_search_cap_holds_after_warm_profile(self):
+        # the facets come from the cover search cached per (ideal, cap), so
+        # a lowered cap is not bypassed by the warm entry
+        I = cycle_edge_ideal(10)
+        profile(I)
+        previous = set_search_cap(5)
+        try:
+            with pytest.raises(CapExceededError):
+                from_squarefree_ideal(I)
+        finally:
+            set_search_cap(previous)
 
 
 class TestToIdeal:
@@ -205,6 +219,6 @@ class TestIngestion:
                 SimplicialComplex(3, ((0, 1), facet))
         assert SimplicialComplex(3, ((2, 0), (0,), (0, 2), (1,))).facets == ((1,), (0, 2))
 
-    def test_facet_json_roundtrip(self):
+    def test_facet_json_literal(self):
         cx = SimplicialComplex(4, ((0, 1, 2), (2, 3)))
-        assert complex_from_json(complex_to_json(cx)) == cx
+        assert complex_from_json({"vertices": 4, "facets": [[1, 2, 3], [3, 4]]}) == cx

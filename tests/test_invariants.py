@@ -30,8 +30,6 @@ from maxdepth.complexes import (
     to_ideal,
 )
 from maxdepth.invariants import (
-    complex_depth,
-    complex_is_cm,
     complex_table,
     depth,
     direct_sum_profile,
@@ -41,7 +39,7 @@ from maxdepth.invariants import (
     profile,
     projdim,
 )
-from maxdepth.regress import C8_PRIMES, c8_ideal, two_planes_ideal
+from maxdepth.regress import c8_ideal, two_planes_ideal
 
 from reisner_oracle import table_by_all_faces
 
@@ -204,15 +202,13 @@ class TestFieldDependence:
         pq, p2 = profile(over_q), profile(over_f2)
         assert (pq.dim, pq.depth) == (3, 3)
         assert (p2.dim, p2.depth) == (3, 2)
-        assert complex_is_cm(RP2, QQ)
-        assert not complex_is_cm(RP2, F2)
+        # the complex's own table: CM over QQ, not over GF(2)
+        tq, t2 = complex_table(RP2, QQ), complex_table(RP2, F2)
+        assert (tq.depth, tq.dim) == (3, 3)
+        assert (t2.depth, t2.dim) == (2, 3)
         # the two depth routes agree for each field separately
         assert projdim(over_q) == 6 - 3
         assert projdim(over_f2) == 6 - 2
-
-    def test_complex_depth_helper(self):
-        assert complex_depth(RP2, QQ) == 3
-        assert complex_depth(RP2, F2) == 2
 
 
 class TestLocalization:
