@@ -202,13 +202,15 @@ class TestFieldDependence:
         pq, p2 = profile(over_q), profile(over_f2)
         assert (pq.dim, pq.depth) == (3, 3)
         assert (p2.dim, p2.depth) == (3, 2)
+        # the two depth routes agree for each field separately
+        assert projdim(over_q) == 6 - 3
+        assert projdim(over_f2) == 6 - 2
+
+    def test_complex_depth_helper(self):
         # the complex's own table: CM over QQ, not over GF(2)
         tq, t2 = complex_table(RP2, QQ), complex_table(RP2, F2)
         assert (tq.depth, tq.dim) == (3, 3)
         assert (t2.depth, t2.dim) == (2, 3)
-        # the two depth routes agree for each field separately
-        assert projdim(over_q) == 6 - 3
-        assert projdim(over_f2) == 6 - 2
 
 
 class TestLocalization:
