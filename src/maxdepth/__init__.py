@@ -3,6 +3,7 @@
 from .ideals import (
     F2,
     FieldSpec,
+    Limits,
     Monomial,
     MonomialIdeal,
     Polarization,
@@ -13,6 +14,7 @@ from .ideals import (
     colon,
     intersect,
     irreducible_decomposition,
+    limited,
     minimalize,
     parse_generators,
     polarize,

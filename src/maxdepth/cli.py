@@ -13,23 +13,17 @@ import sys
 from . import regress as regress_mod
 from .errors import EngineError, MalformedInputError
 from .ideals import (
-    DEFAULT_SEARCH_CAP,
     FieldSpec,
+    Limits,
     MonomialIdeal,
     ideal_from_json,
+    limited,
     parse_field,
     parse_generators,
     polarize,
-    set_search_cap,
     tensor_join,
 )
-from .complexes import (
-    DEFAULT_MAX_VERTICES,
-    complex_from_json,
-    parse_edge_list,
-    set_max_vertices,
-    to_ideal,
-)
+from .complexes import complex_from_json, parse_edge_list, to_ideal
 from .invariants import (
     LocalizationProfile,
     ModuleProfile,
@@ -248,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--max-vertices", type=int, default=None,
         help="largest vertex count of a Stanley-Reisner complex, after polarization "
-        f"(default {DEFAULT_MAX_VERTICES}); for probe, the largest sampled vertex count (default 7)",
+        f"(default {Limits().max_vertices}); for probe, the largest sampled vertex count (default 7)",
     )
     ap.add_argument(
-        "--search-cap", type=int, default=DEFAULT_SEARCH_CAP,
+        "--search-cap", type=int, default=Limits().search_cap,
         help="most nodes one minimal vertex cover search may visit, for associated "
         "primes, decompositions and Stanley-Reisner facets (default %(default)s)",
     )
@@ -287,17 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> tuple[int, str]:
-    """Run one parsed command under its own caps, restoring the previous caps
-    afterwards, so that a call answers as it would in a fresh process."""
-    search_cap = set_search_cap(args.search_cap)
-    max_vertices = set_max_vertices(
-        DEFAULT_MAX_VERTICES if args.max_vertices is None else args.max_vertices
-    )
-    try:
+    """Run one parsed command under its own `Limits`, from its flags and the
+    defaults, so that a call answers as it would in a fresh process."""
+    max_vertices = Limits().max_vertices if args.max_vertices is None else args.max_vertices
+    with limited(search_cap=args.search_cap, max_vertices=max_vertices):
         return _dispatch(args)
-    finally:
-        set_search_cap(search_cap)
-        set_max_vertices(max_vertices)
 
 
 def _dispatch(args) -> tuple[int, str]:
@@ -330,9 +318,10 @@ def _dispatch(args) -> tuple[int, str]:
         return 0, _render(out, fmt)
     if cmd == "localize":
         I = _load_ideal(args, field)
-        face = tuple(
-            int(v) - 1 for v in args.face.split(",") if v.strip()
-        )
+        try:
+            face = tuple(int(v) - 1 for v in args.face.split(",") if v.strip())
+        except ValueError as exc:
+            raise MalformedInputError(f"face vertices must be integers, got {args.face!r}") from exc
         return 0, _render(localize_json(localization_profile(I, face)), fmt)
     if cmd == "tensor":
         I = _load_ideal(args, field)

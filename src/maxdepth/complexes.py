@@ -27,21 +27,11 @@ from .ideals import (
     QQ,
     RingDescriptor,
     _minimal_transversals,
+    limits,
     minimal_covers,
     ring,
     zero_ideal,
 )
-
-DEFAULT_MAX_VERTICES = 24
-_max_vertices = DEFAULT_MAX_VERTICES
-
-
-def set_max_vertices(cap: int) -> int:
-    """Override the facet-enumeration vertex cap (CLI flag hook); returns the
-    previous cap, so that the caller can restore it."""
-    global _max_vertices
-    previous, _max_vertices = _max_vertices, cap
-    return previous
 
 
 def _facet_key(f: tuple[int, ...]):
@@ -103,8 +93,8 @@ def from_squarefree_ideal(I: MonomialIdeal) -> SimplicialComplex:
             "ideal is not squarefree; polarize before building the complex"
         )
     n = I.ring.n
-    if n > _max_vertices:
-        raise CapExceededError(f"{n} vertices exceeds cap {_max_vertices}")
+    if n > limits().max_vertices:
+        raise CapExceededError(f"{n} vertices exceeds cap {limits().max_vertices}")
     facets = tuple(tuple(v for v in range(n) if (v, 1) not in c) for c in minimal_covers(I))
     return SimplicialComplex(n, facets)
 
@@ -120,7 +110,7 @@ def to_ideal(
     if rng.n != cx.n:
         raise MalformedInputError("ring size does not match vertex count")
     complements = [frozenset(set(range(cx.n)) - set(f)) for f in cx.facets]
-    nonfaces = _minimal_transversals(complements)
+    nonfaces = _minimal_transversals(complements, limits().search_cap)
     gens = []
     for nf in nonfaces:
         exps = [0] * cx.n

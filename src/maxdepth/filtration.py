@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import SquarefreeRequiredError, UndefinedModuleError
+from .errors import MalformedInputError, SquarefreeRequiredError, UndefinedModuleError
 from .ideals import (
     MonomialIdeal,
     PrimeSupport,
@@ -275,6 +275,12 @@ class ProbeConfig:
     max_vertices: int = 7
     min_vertices: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        if self.samples < 0 or not 1 <= self.min_vertices <= self.max_vertices:
+            raise MalformedInputError(
+                f"probe needs samples >= 0 and 1 <= min_vertices <= max_vertices, got {self}"
+            )
 
 
 @dataclass(frozen=True)

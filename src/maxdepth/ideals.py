@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 from .errors import (
@@ -18,16 +20,30 @@ from .errors import (
     UndefinedModuleError,
 )
 
-DEFAULT_SEARCH_CAP = 2 ** 24
-_search_cap = DEFAULT_SEARCH_CAP
+
+@dataclass(frozen=True)
+class Limits:
+    """Caps on a computation: the nodes one minimal vertex cover search may
+    visit, and the vertex count of a Stanley-Reisner complex (after
+    polarization)."""
+
+    search_cap: int = 2 ** 24
+    max_vertices: int = 24
 
 
-def set_search_cap(cap: int) -> int:
-    """Override the transversal-search node cap (CLI flag hook); returns the
-    previous cap, so that the caller can restore it."""
-    global _search_cap
-    previous, _search_cap = _search_cap, cap
-    return previous
+_limits: ContextVar[Limits] = ContextVar("maxdepth_limits", default=Limits())
+limits = _limits.get  # the limits in force
+
+
+@contextmanager
+def limited(**caps):
+    """Run the block with the named caps replaced; the previous limits return
+    when it exits, also by an exception."""
+    token = _limits.set(replace(_limits.get(), **caps))
+    try:
+        yield
+    finally:
+        _limits.reset(token)
 
 
 def _is_prime(p: int) -> bool:
@@ -265,7 +281,7 @@ def prime_ideal(rng: RingDescriptor, p: PrimeSupport) -> MonomialIdeal:
     return MonomialIdeal(rng, tuple(variable(rng, i) for i in p.vars))
 
 
-def _minimal_transversals(edges: list[frozenset], search_cap: int | None = None) -> list[frozenset]:
+def _minimal_transversals(edges: list[frozenset], search_cap: int) -> list[frozenset]:
     """Inclusion-minimal vertex sets meeting every edge; deterministic order.
 
     The search branches on the vertices of the first uncovered edge in
@@ -276,10 +292,8 @@ def _minimal_transversals(edges: list[frozenset], search_cap: int | None = None)
     every vertex of T keeps a private edge on the way, so the search yields
     each minimal transversal once and nothing else.  Raises
     CapExceededError once the search has visited more than `search_cap`
-    nodes (default: the module cap).
+    nodes.
     """
-    if search_cap is None:
-        search_cap = _search_cap
     if not edges:
         return [frozenset()]
     results: list[frozenset] = []
@@ -324,16 +338,14 @@ def _polarized_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...
     return tuple(_minimal_transversals(edges, search_cap))
 
 
-def minimal_covers(I: MonomialIdeal, search_cap: int | None = None) -> tuple[frozenset, ...]:
+def minimal_covers(I: MonomialIdeal) -> tuple[frozenset, ...]:
     """The one cover search behind Ass, the decompositions and the
-    Stanley-Reisner facets: minimal vertex covers of pol I, under
-    `search_cap` (default: the module cap)."""
-    return _polarized_covers(I, _search_cap if search_cap is None else search_cap)
+    Stanley-Reisner facets: minimal vertex covers of pol I, under the search
+    cap in force."""
+    return _polarized_covers(I, limits().search_cap)
 
 
-def associated_primes(
-    I: MonomialIdeal, search_cap: int | None = None
-) -> frozenset[PrimeSupport]:
+def associated_primes(I: MonomialIdeal) -> frozenset[PrimeSupport]:
     """Ass(S/I): the minimal vertex covers of pol I, depolarized x_{i,j} -> x_i.
 
     Ass(S/I) is the set of radicals of the irreducible components of I, and
@@ -341,11 +353,10 @@ def associated_primes(
     `irreducible_decomposition`).  Conversely, q_C for a minimal cover C
     contains a component; were that component on fewer variables than C,
     the pairs of C on those variables would already cover pol I.
-    `search_cap` bounds the nodes the cover search visits.
     """
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")
-    return frozenset(PrimeSupport.of(i for i, _ in c) for c in minimal_covers(I, search_cap))
+    return frozenset(PrimeSupport.of(i for i, _ in c) for c in minimal_covers(I))
 
 
 def minimal_primes_of(I: MonomialIdeal) -> frozenset[PrimeSupport]:

@@ -1,10 +1,10 @@
 """Module-level invariants of M = S/I.
 
-Depth comes out of two independent routes: the face scan over link homology
-(the route every predicate uses) and the largest nonzero Betti number read
-off upper-Koszul subcomplexes over the lcm lattice, tied together by
-Auslander-Buchsbaum.  Non-squarefree ideals are handled through polarization
-with the documented degree shift.
+Depth, mdepth and every predicate come from the face scan over link homology.
+`projdim` reads Betti numbers off upper-Koszul subcomplexes over the lcm
+lattice; `profile` never calls it, and only the tests and `regress` check
+depth = n - projdim (Auslander-Buchsbaum).  Non-squarefree ideals are handled
+through polarization with the documented degree shift.
 """
 from __future__ import annotations
 

@@ -167,6 +167,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "analyze", C8)
         assert code == 1 and "error kind=internal-check" in err
 
+    def test_bad_probe_bounds_are_2(self, capsys):
+        for argv in (
+            ("probe", "--min-vertices=8"),
+            ("probe", "--min-vertices=0"),
+            ("--max-vertices=0", "probe"),
+            ("--samples=-3", "probe"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and "error kind=malformed-input" in err, argv
+
+    def test_non_integer_face_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "localize", "--gens=x1*x2", "--face=a")
+        assert code == 2 and "error kind=malformed-input" in err
+        # integer vertices that are not a face stay precondition violations
+        for face in ("--face=0", "--face=99"):
+            assert run_cli(capsys, "localize", "--gens=x1*x2", face)[0] == 4, face
+
     def test_vertex_cap_is_3(self, capsys):
         c9 = "--edges=n=9; edges=1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9,1-9"
         code, out, err = run_cli(capsys, "--max-vertices=4", "analyze", c9)

@@ -16,8 +16,8 @@ from maxdepth.ideals import (
     PrimeSupport,
     associated_primes,
     parse_generators,
+    limited,
     ring,
-    set_search_cap,
     zero_ideal,
 )
 from maxdepth.complexes import (
@@ -72,12 +72,8 @@ class TestFromSquarefreeIdeal:
         # a lowered cap is not bypassed by the warm entry
         I = cycle_edge_ideal(10)
         profile(I)
-        previous = set_search_cap(5)
-        try:
-            with pytest.raises(CapExceededError):
-                from_squarefree_ideal(I)
-        finally:
-            set_search_cap(previous)
+        with limited(search_cap=5), pytest.raises(CapExceededError):
+            from_squarefree_ideal(I)
 
 
 class TestToIdeal:

@@ -11,7 +11,7 @@ from maxdepth.errors import (
     UndefinedModuleError,
 )
 from maxdepth.ideals import (
-    DEFAULT_SEARCH_CAP,
+    Limits,
     Monomial,
     MonomialIdeal,
     PrimeSupport,
@@ -21,6 +21,8 @@ from maxdepth.ideals import (
     intersect,
     intersect_all,
     irreducible_decomposition,
+    limited,
+    limits,
     minimal_primes_of,
     minimalize,
     parse_generators,
@@ -29,7 +31,6 @@ from maxdepth.ideals import (
     prime_ideal,
     quotient_by_variable,
     ring,
-    set_search_cap,
     tensor_join,
     unit_ideal,
     zero_ideal,
@@ -165,18 +166,14 @@ class TestAssociatedPrimes:
 
     def test_search_cap(self):
         I = mk(2, (40, 0), (0, 40))
-        with pytest.raises(CapExceededError):
-            associated_primes(I, search_cap=100)
+        with limited(search_cap=100), pytest.raises(CapExceededError):
+            associated_primes(I)
 
     def test_search_cap_holds_on_repeat_call(self):
         I = parse_generators("x1^3*x2,x2^2*x3,x1*x3^2")
         associated_primes(I)
-        set_search_cap(2)
-        try:
-            with pytest.raises(CapExceededError):
-                associated_primes(I)
-        finally:
-            set_search_cap(DEFAULT_SEARCH_CAP)
+        with limited(search_cap=2), pytest.raises(CapExceededError):
+            associated_primes(I)
 
     def test_power_of_maximal_ideal_under_default_cap(self):
         # polarized edges nest, so a search that retries siblings branches
@@ -201,6 +198,24 @@ class TestAssociatedPrimes:
                 assert set(g.support) & set(p.vars) or not g.support
 
 
+class TestLimits:
+    def test_nested_block_replaces_only_the_named_cap(self):
+        with limited(search_cap=100, max_vertices=5):
+            with limited(max_vertices=3):
+                assert limits() == Limits(search_cap=100, max_vertices=3)
+            assert limits() == Limits(search_cap=100, max_vertices=5)
+        assert limits() == Limits()
+
+    def test_outer_limits_return_after_cap_exceeded(self):
+        I = mk(2, (40, 0), (0, 40))
+        with limited(max_vertices=7):
+            with pytest.raises(CapExceededError), limited(search_cap=100):
+                associated_primes(I)
+            assert limits() == Limits(max_vertices=7)
+        assert limits() == Limits()
+        assert associated_primes(I) == {PrimeSupport((0, 1))}
+
+
 class TestMinimalTransversals:
     @given(st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=4), max_size=6))
     @settings(max_examples=80, deadline=None)
@@ -212,7 +227,7 @@ class TestMinimalTransversals:
             if all(e & set(t) for e in edges)
         ]
         minimal = {t for t in covers if not any(s < t for s in covers)}
-        got = _minimal_transversals(edges)
+        got = _minimal_transversals(edges, Limits().search_cap)
         assert len(got) == len(set(got))
         assert set(got) == minimal
 
