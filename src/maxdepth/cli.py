@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import regress as regress_mod
-from .errors import EngineError, MalformedInputError
+from .errors import EngineError, MalformedInputError, NotInSupportError
 from .ideals import (
     FieldSpec,
     Limits,
@@ -319,10 +319,14 @@ def _dispatch(args) -> tuple[int, str]:
     if cmd == "localize":
         I = _load_ideal(args, field)
         try:
-            face = tuple(int(v) - 1 for v in args.face.split(",") if v.strip())
+            face = tuple(sorted({int(v) for v in args.face.split(",") if v.strip()}))
         except ValueError as exc:
             raise MalformedInputError(f"face vertices must be integers, got {args.face!r}") from exc
-        return 0, _render(localize_json(localization_profile(I, face)), fmt)
+        try:
+            loc = localization_profile(I, tuple(v - 1 for v in face))
+        except NotInSupportError as exc:  # name the face as typed, 1-based
+            raise NotInSupportError(f"{face} is not a face; its prime is outside Supp") from exc
+        return 0, _render(localize_json(loc), fmt)
     if cmd == "tensor":
         I = _load_ideal(args, field)
         J = _load_ideal(args, field, which="2")

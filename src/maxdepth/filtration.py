@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 from .errors import MalformedInputError, SquarefreeRequiredError, UndefinedModuleError
 from .ideals import (
+    Monomial,
     MonomialIdeal,
     PrimeSupport,
-    intersect_all,
+    irreducible_covers,
     minimal_primes_of,
-    primary_decomposition,
     unit_ideal,
 )
 from .complexes import (
@@ -46,17 +46,62 @@ class DimensionFiltration:
 
 
 def dimension_filtration(I: MonomialIdeal) -> DimensionFiltration:
-    """Level ideals from primary components of dimension above each cutoff,
-    built top-down: I^(i) = I^(i+1) cap (the components of dimension i+1)."""
+    """Level ideals I^(i), the intersection of the irreducible components
+    q_C = (x_k^j : (k, j) in C) of dimension above i, in one top-down pass:
+    J starts as the unit ideal and meets each q_C in decreasing order of
+    dimension, and a level's ideal is J once the components of dimension
+    i + 1 have entered.
+
+    J cap q_C is generated by the lcms of the generators g of J with the
+    x_k^j.  A g inside q_C (g_k >= j for some (k, j) in C) stays as it is,
+    and it stays minimal: a generator of J cap q_C dividing it lies in J,
+    so it is a multiple of a generator of J and that can only be g.  Any
+    other g is raised at each (k, j) of C to g + (j - g_k) e_k.  Only the
+    raised candidates need the divisibility test, taken in ascending degree
+    against the generators kept so far: a proper divisor has lower degree,
+    so it was decided before, and a discarded one has a kept divisor.
+
+    The test runs on exponent vectors packed into one int, one field of
+    w = bit_length(max exponent) + 1 bits per variable.  No exponent of J
+    exceeds the largest exponent of I (a pair (k, j) of a cover has j at
+    most the largest exponent of x_k in I), so it fits below the top bit of
+    its field, the guard bit.  With G the guard bits, each field of
+    (B | G) - A holds 2^(w-1) + b_k - a_k, which lies in [1, 2^w): no
+    field borrows from the next, and its guard bit is set exactly when
+    a_k <= b_k.  So x^a divides x^b iff ((B | G) - A) & G == G.
+    """
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")
     rng = I.ring
-    comps = primary_decomposition(I)
-    ass = [rad for rad, _ in comps]  # Ass(S/I): the radicals, already sorted
+    n = rng.n
+    covers = irreducible_covers(I)  # by size: by decreasing dimension
+    ass = sorted({PrimeSupport.of(k for k, _ in c) for c in covers})  # Ass(S/I)
+    w = max((e for g in I.gens for e in g.exponents), default=0).bit_length() + 1
+    mask = (1 << w) - 1
+    guard = sum(1 << (k * w + w - 1) for k in range(n))
+    gens = [(0, 0)]  # J as (degree, packed exponents): the unit ideal
     li = unit_ideal(rng)
     levels = []
     for i in reversed(range(max(p.dim_in(rng) for p in ass) + 1)):
-        li = intersect_all(rng, [li, *(c for rad, c in comps if rad.dim_in(rng) == i + 1)])
+        entering = [c for c in covers if n - len(c) == i + 1]
+        for c in entering:
+            pairs = [(k * w, j) for k, j in c]
+            kept, raised = [], set()
+            for deg, a in gens:
+                at = [(s, j, (a >> s) & mask) for s, j in pairs]
+                if any(e >= j for _, j, e in at):
+                    kept.append((deg, a))
+                else:
+                    raised.update((deg + j - e, a + ((j - e) << s)) for s, j, e in at)
+            for deg, b in sorted(raised):
+                bg = b | guard
+                if not any((bg - a) & guard == guard for _, a in kept):
+                    kept.append((deg, b))
+            gens = kept
+        if entering:  # otherwise the level repeats the one above
+            li = MonomialIdeal(rng, tuple(
+                Monomial(tuple((a >> (k * w)) & mask for k in range(n))) for _, a in gens
+            ))
         levels.append(
             FiltrationLevel(
                 index=i,

@@ -350,7 +350,7 @@ def associated_primes(I: MonomialIdeal) -> frozenset[PrimeSupport]:
 
     Ass(S/I) is the set of radicals of the irreducible components of I, and
     every component comes from a minimal cover (see
-    `irreducible_decomposition`).  Conversely, q_C for a minimal cover C
+    `irreducible_covers`).  Conversely, q_C for a minimal cover C
     contains a component; were that component on fewer variables than C,
     the pairs of C on those variables would already cover pol I.
     """
@@ -367,8 +367,10 @@ def minimal_primes_of(I: MonomialIdeal) -> frozenset[PrimeSupport]:
     )
 
 
-def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
-    """Irredundant decomposition into ideals generated by pure variable powers.
+def irreducible_covers(I: MonomialIdeal) -> tuple[frozenset, ...]:
+    """The minimal vertex covers C of pol I whose ideal q_C is an irreducible
+    component of I, in the order of `minimal_covers` (by size, so by
+    decreasing dimension of q_C).
 
     Each minimal vertex cover C of pol I gives the irreducible ideal
     q_C = (x_i^j : x_{i,j} in C), which contains I (S. Faridi, Monomial
@@ -387,9 +389,6 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     Minimal covers without tight generators do occur, so without the test
     the decomposition is redundant.
     """
-    if I.is_unit:
-        raise UndefinedModuleError("the unit ideal has no decomposition")
-    rng = I.ring
 
     def tight(c) -> bool:
         return all(
@@ -401,10 +400,18 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
             for i, j in c
         )
 
+    return tuple(c for c in minimal_covers(I) if tight(c))
+
+
+def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
+    """Irredundant decomposition into ideals generated by pure variable powers:
+    q_C for each cover C of `irreducible_covers`."""
+    if I.is_unit:
+        raise UndefinedModuleError("the unit ideal has no decomposition")
+    rng = I.ring
     kept = [
         MonomialIdeal(rng, tuple(variable(rng, i, j) for i, j in c))
-        for c in minimal_covers(I)
-        if tight(c)
+        for c in irreducible_covers(I)
     ]
     return tuple(sorted(kept, key=lambda c: tuple(_graded_lex_key(g) for g in c.gens)))
 

@@ -184,6 +184,13 @@ class TestExitCodes:
         for face in ("--face=0", "--face=99"):
             assert run_cli(capsys, "localize", "--gens=x1*x2", face)[0] == 4, face
 
+    def test_non_face_named_in_typed_vertices(self, capsys):
+        # the message names the face 1-based, as --face takes it
+        for face, named in (("1,2", "(1, 2)"), ("2,1", "(1, 2)"), ("0", "(0,)"), ("99", "(99,)")):
+            code, out, err = run_cli(capsys, "localize", "--gens=x1*x2", f"--face={face}")
+            assert code == 4, face
+            assert f'msg="{named} is not a face;' in err, err
+
     def test_vertex_cap_is_3(self, capsys):
         c9 = "--edges=n=9; edges=1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9,1-9"
         code, out, err = run_cli(capsys, "--max-vertices=4", "analyze", c9)

@@ -81,7 +81,7 @@ class TestDimensionFiltration:
         assert f.level(2).ideal.is_unit
 
     def test_unit_rejected(self):
-        with pytest.raises(UndefinedModuleError):
+        with pytest.raises(UndefinedModuleError, match="the unit ideal defines the zero module"):
             dimension_filtration(unit_ideal(ring(2)))
 
     @given(small_ideals)
@@ -119,6 +119,86 @@ class TestDimensionFiltration:
             for lv in f.levels:
                 above = (c for rad, c in comps if rad.dim_in(I.ring) > lv.index)
                 assert lv.ideal == intersect_all(I.ring, above), I.format()
+
+
+def intersection_levels(I):
+    """Level ideals by the pairwise-lcm intersection of the primary
+    components, top-down: I^(i) = I^(i+1) cap (the components of dimension
+    i + 1)."""
+    rng = I.ring
+    comps = primary_decomposition(I)
+    li = unit_ideal(rng)
+    out = []
+    for i in reversed(range(max(rad.dim_in(rng) for rad, _ in comps) + 1)):
+        li = intersect_all(rng, [li, *(c for rad, c in comps if rad.dim_in(rng) == i + 1)])
+        out.append(li)
+    return out[::-1]
+
+
+def powers(n, *gens):
+    """Ideal from generators given as {1-based variable: exponent}."""
+    return mk(n, *(tuple(g.get(k + 1, 0) for k in range(n)) for g in gens))
+
+
+# exponents on the edges of the packing width: 2^k - 1 fills a field below
+# its guard bit, 2^k widens the field by one bit
+WIDTH_EDGE_IDEALS = [
+    powers(1, {1: 1}),
+    powers(1, {1: 256}),
+    powers(2, {1: 2}, {1: 1, 2: 1}),
+    powers(2, {1: 4}, {1: 3, 2: 3}),
+    powers(2, {1: 8}, {1: 7, 2: 1}, {2: 2}),
+    powers(2, {1: 256}, {1: 255, 2: 1}),
+    powers(3, {1: 16}, {1: 15, 2: 2}, {2: 3, 3: 1}, {3: 4}),
+    powers(3, {1: 255}, {1: 7, 2: 16}, {2: 15, 3: 1}, {1: 1, 3: 2}),
+    powers(3, {1: 256, 2: 1}, {1: 255, 2: 2, 3: 3}, {2: 4, 3: 7}, {3: 8}),
+    powers(4, {1: 3, 2: 1}, {2: 4, 3: 2}, {3: 16, 4: 1}, {1: 15, 4: 2}, {2: 7, 4: 255}),
+]
+
+
+class TestLevelsMatchIntersection:
+    """dimension_filtration against the pairwise-lcm intersection oracle."""
+
+    def assert_levels_match(self, I):
+        f = dimension_filtration(I)
+        assert [lv.ideal for lv in f.levels] == intersection_levels(I), I.format()
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 13, 14, 15, 16])
+    def test_cycles(self, n):
+        self.assert_levels_match(cycle_edge_ideal(n))
+
+    def test_one_variable_ring(self):
+        for e in range(1, 5):
+            self.assert_levels_match(mk(1, (e,)))
+
+    def test_zero_ideal(self):
+        for n in (1, 3):
+            I = mk(n)
+            self.assert_levels_match(I)
+            f = dimension_filtration(I)
+            assert f.t == n and f.levels[-1].ideal.is_unit
+            assert all(lv.ideal.is_zero for lv in f.levels[:-1])
+
+    @pytest.mark.parametrize("I", WIDTH_EDGE_IDEALS, ids=lambda I: I.format())
+    def test_packing_width_edges(self, I):
+        self.assert_levels_match(I)
+
+    def test_width_edge_ideals_have_embedded_components(self):
+        embedded = [I for I in WIDTH_EDGE_IDEALS if associated_primes(I) != ideals.minimal_primes_of(I)]
+        assert len(embedded) >= 6
+
+    def test_levels_without_pairwise_intersection(self, monkeypatch):
+        # the levels come from one pass over the irreducible components;
+        # the pairwise-lcm intersection is only the oracle
+        cases = [cycle_edge_ideal(10), powers(3, {1: 3}, {1: 2, 2: 2}, {2: 3, 3: 1}, {1: 1, 3: 2})]
+        expected = [intersection_levels(I) for I in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pairwise-lcm intersection called")
+
+        monkeypatch.setattr(ideals, "intersect", refuse)
+        for I, levels in zip(cases, expected):
+            assert [lv.ideal for lv in dimension_filtration(I).levels] == levels, I.format()
 
 
 class TestMdepthChain:
