@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument(
         "--search-cap", type=int, default=Limits().search_cap,
-        help="most nodes one minimal vertex cover search may visit, for associated "
+        help="most nodes one vertex cover search may visit, for associated "
         "primes, decompositions and Stanley-Reisner facets (default %(default)s)",
     )
     ap.add_argument("--seed", type=int, default=0)

@@ -26,11 +26,9 @@ from .ideals import (
     PrimeSupport,
     QQ,
     RingDescriptor,
-    _minimal_transversals,
+    irreducible_covers,
     limits,
-    minimal_covers,
     ring,
-    zero_ideal,
 )
 
 
@@ -95,7 +93,7 @@ def from_squarefree_ideal(I: MonomialIdeal) -> SimplicialComplex:
     n = I.ring.n
     if n > limits().max_vertices:
         raise CapExceededError(f"{n} vertices exceeds cap {limits().max_vertices}")
-    facets = tuple(tuple(v for v in range(n) if (v, 1) not in c) for c in minimal_covers(I))
+    facets = tuple(tuple(v for v in range(n) if (v, 1) not in c) for c in irreducible_covers(I))
     return SimplicialComplex(n, facets)
 
 
@@ -104,22 +102,20 @@ def to_ideal(
     rng: RingDescriptor | None = None,
     field: FieldSpec = QQ,
 ) -> MonomialIdeal:
-    """Squarefree ideal generated by the minimal non-faces of the complex."""
+    """Squarefree ideal generated by the minimal non-faces of the complex:
+    the minimal vertex covers of the Alexander dual, the ideal generated by
+    the facet complements."""
     if rng is None:
         rng = ring(cx.n, field)
     if rng.n != cx.n:
         raise MalformedInputError("ring size does not match vertex count")
-    complements = [frozenset(set(range(cx.n)) - set(f)) for f in cx.facets]
-    nonfaces = _minimal_transversals(complements, limits().search_cap)
-    gens = []
-    for nf in nonfaces:
-        exps = [0] * cx.n
-        for v in nf:
-            exps[v] = 1
-        gens.append(Monomial(tuple(exps)))
-    if not gens:
-        return zero_ideal(rng)
-    return MonomialIdeal(rng, tuple(gens))
+    dual = MonomialIdeal(rng, tuple(
+        Monomial(tuple(0 if v in f else 1 for v in range(cx.n))) for f in cx.facets
+    ))
+    return MonomialIdeal(rng, tuple(
+        Monomial(tuple(1 if (v, 1) in c else 0 for v in range(cx.n)))
+        for c in irreducible_covers(dual)
+    ))
 
 
 def minimal_primes(cx: SimplicialComplex) -> frozenset[PrimeSupport]:

@@ -23,9 +23,8 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Limits:
-    """Caps on a computation: the nodes one minimal vertex cover search may
-    visit, and the vertex count of a Stanley-Reisner complex (after
-    polarization)."""
+    """Caps on a computation: the nodes one vertex cover search may visit,
+    and the vertex count of a Stanley-Reisner complex (after polarization)."""
 
     search_cap: int = 2 ** 24
     max_vertices: int = 24
@@ -281,21 +280,35 @@ def prime_ideal(rng: RingDescriptor, p: PrimeSupport) -> MonomialIdeal:
     return MonomialIdeal(rng, tuple(variable(rng, i) for i in p.vars))
 
 
-def _minimal_transversals(edges: list[frozenset], search_cap: int) -> list[frozenset]:
-    """Inclusion-minimal vertex sets meeting every edge; deterministic order.
+@lru_cache(maxsize=None)
+def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
+    """The vertex covers C of pol I in which every pair has a tight generator,
+    each a set of (variable, power) pairs; sorted by size, then by pairs.
 
+    The polarization vertex x_{i,j} is the pair (i, j), so the generator x^a
+    is the edge {(i, j) : 1 <= j <= a_i}.  A generator g is tight for the
+    pair (i, j) of C when g_i = j and its edge misses every other pair of C.
     The search branches on the vertices of the first uncovered edge in
     sorted order; branch v forbids the siblings tried before it, and is cut
-    when a vertex already chosen would lose its last private edge (one that
-    no other chosen vertex meets).  A minimal transversal T is reached
-    through the first of its vertices on each edge it has to cover, and
-    every vertex of T keeps a private edge on the way, so the search yields
-    each minimal transversal once and nothing else.  Raises
+    when a pair of the grown set has no tight generator left.  Growing the
+    set only takes tight generators away, so a tight cover keeps every one
+    on its path, and it is reached through the first of its pairs on each
+    edge it has to cover: the search yields each tight cover once and
+    nothing else.  On squarefree I a tight generator is a private edge, so
+    the tight covers are the minimal vertex covers.  Raises
     CapExceededError once the search has visited more than `search_cap`
-    nodes.
+    nodes.  The cache is keyed on the cap, so a lowered cap is never
+    bypassed; call it through `irreducible_covers`, which supplies the cap.
     """
-    if not edges:
-        return [frozenset()]
+    edges = [
+        frozenset((i, j) for i, e in enumerate(g.exponents) for j in range(1, e + 1))
+        for g in I.gens
+    ]
+    tight: dict[tuple[int, int], list[frozenset]] = {}  # (i, j) -> edges with g_i = j
+    for g, f in zip(I.gens, edges):
+        for i, e in enumerate(g.exponents):
+            if e:
+                tight.setdefault((i, e), []).append(f)
     results: list[frozenset] = []
     visited = 0
 
@@ -311,73 +324,28 @@ def _minimal_transversals(edges: list[frozenset], search_cap: int) -> list[froze
                 tried = set(forbidden)
                 for v in sorted(e - forbidden):
                     grown = chosen | {v}
-                    if all(any(f & grown == {u} for f in edges) for u in chosen):
+                    if all(any(f & grown == {u} for f in tight.get(u, ())) for u in grown):
                         rec(grown, frozenset(tried))
                     tried.add(v)
                 return
         results.append(chosen)
 
     rec(frozenset(), frozenset())
-    return sorted(results, key=lambda s: (len(s), tuple(sorted(s))))
-
-
-@lru_cache(maxsize=None)
-def _polarized_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
-    """Minimal vertex covers of pol I, each a set of (variable, power) pairs.
-
-    The polarization vertex x_{i,j} is the pair (i, j), so the generator x^a
-    is the edge {(i, j) : 1 <= j <= a_i}.  A minimal cover holds at most one
-    pair per variable: (i, k) lies on every edge through (i, j) for j > k.
-    The cache is keyed on the cap, so a lowered cap is never bypassed; call
-    it through `minimal_covers`, which supplies the cap.
-    """
-    edges = [
-        frozenset((i, j) for i, e in enumerate(g.exponents) for j in range(1, e + 1))
-        for g in I.gens
-    ]
-    return tuple(_minimal_transversals(edges, search_cap))
-
-
-def minimal_covers(I: MonomialIdeal) -> tuple[frozenset, ...]:
-    """The one cover search behind Ass, the decompositions and the
-    Stanley-Reisner facets: minimal vertex covers of pol I, under the search
-    cap in force."""
-    return _polarized_covers(I, limits().search_cap)
-
-
-def associated_primes(I: MonomialIdeal) -> frozenset[PrimeSupport]:
-    """Ass(S/I): the minimal vertex covers of pol I, depolarized x_{i,j} -> x_i.
-
-    Ass(S/I) is the set of radicals of the irreducible components of I, and
-    every component comes from a minimal cover (see
-    `irreducible_covers`).  Conversely, q_C for a minimal cover C
-    contains a component; were that component on fewer variables than C,
-    the pairs of C on those variables would already cover pol I.
-    """
-    if I.is_unit:
-        raise UndefinedModuleError("the unit ideal defines the zero module")
-    return frozenset(PrimeSupport.of(i for i, _ in c) for c in minimal_covers(I))
-
-
-def minimal_primes_of(I: MonomialIdeal) -> frozenset[PrimeSupport]:
-    """Inclusion-minimal members of Ass(S/I)."""
-    ass = associated_primes(I)
-    return frozenset(
-        p for p in ass if not any(q != p and p.contains(q) for q in ass)
-    )
+    return tuple(sorted(results, key=lambda c: (len(c), tuple(sorted(c)))))
 
 
 def irreducible_covers(I: MonomialIdeal) -> tuple[frozenset, ...]:
-    """The minimal vertex covers C of pol I whose ideal q_C is an irreducible
-    component of I, in the order of `minimal_covers` (by size, so by
-    decreasing dimension of q_C).
+    """The one cover search behind Ass, the decompositions, the filtration
+    and the Stanley-Reisner facets, under the search cap in force: the
+    covers C of pol I whose ideal q_C = (x_i^j : (i, j) in C) is an
+    irreducible component of I, by size (so by decreasing dimension of q_C).
 
-    Each minimal vertex cover C of pol I gives the irreducible ideal
-    q_C = (x_i^j : x_{i,j} in C), which contains I (S. Faridi, Monomial
-    ideals via square-free monomial ideals, 2005; Herzog-Hibi, Monomial
-    Ideals, ch. 1).  The components of I are the q_C in which every pair
-    (i, j) of C has a tight generator: g_i = j, and g_k < l for the other
-    pairs (k, l) of C.
+    Each minimal vertex cover C of pol I gives an irreducible ideal q_C
+    over I (S. Faridi, Monomial ideals via square-free monomial ideals,
+    2005; Herzog-Hibi, Monomial Ideals, ch. 1).  The components of I are
+    the q_C in which every pair (i, j) of C has a tight generator: g_i = j,
+    and g_k < l for the other pairs (k, l) of C.
+    - A tight generator is a private edge, so C is a minimal cover.
     - Tight generators make q_C minimal among the irreducible ideals over
       I: if q_D is one inside q_C, each tight generator lies in q_D only
       through its own variable, which forces D = C.
@@ -386,21 +354,25 @@ def irreducible_covers(I: MonomialIdeal) -> tuple[frozenset, ...]:
       over I strictly inside q.  Raising c_i by one gives an ideal strictly
       inside q, so some generator of I lies in q but not in that ideal: it
       is tight at i.
-    Minimal covers without tight generators do occur, so without the test
-    the decomposition is redundant.
+    For squarefree I these are all the minimal vertex covers of I.
     """
+    return _tight_covers(I, limits().search_cap)
 
-    def tight(c) -> bool:
-        return all(
-            any(
-                g.exponents[i] == j
-                and all(g.exponents[k] < l for k, l in c if k != i)
-                for g in I.gens
-            )
-            for i, j in c
-        )
 
-    return tuple(c for c in minimal_covers(I) if tight(c))
+def associated_primes(I: MonomialIdeal) -> frozenset[PrimeSupport]:
+    """Ass(S/I): the radicals of the irreducible components of I, read off
+    `irreducible_covers` as x_{i,j} -> x_i."""
+    if I.is_unit:
+        raise UndefinedModuleError("the unit ideal defines the zero module")
+    return frozenset(PrimeSupport.of(i for i, _ in c) for c in irreducible_covers(I))
+
+
+def minimal_primes_of(I: MonomialIdeal) -> frozenset[PrimeSupport]:
+    """Inclusion-minimal members of Ass(S/I)."""
+    ass = associated_primes(I)
+    return frozenset(
+        p for p in ass if not any(q != p and p.contains(q) for q in ass)
+    )
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:

@@ -147,6 +147,13 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_search_cap_exceeded_is_3(self, capsys):
+        # C12 has 12 vertices, under the vertex cap; its cover search visits
+        # 85 nodes
+        c12 = "--edges=n=12; edges=" + ",".join(f"{i}-{i % 12 + 1}" for i in range(1, 13))
+        code, out, err = run_cli(capsys, "--search-cap=50", "analyze", c12)
+        assert code == 3 and "transversal search visited more than 50 nodes" in err, err
+
     def test_precondition_is_4(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--gens=x1,x2", "--nvars=2")
         assert code == 0

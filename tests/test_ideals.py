@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +16,11 @@ from maxdepth.ideals import (
     Monomial,
     MonomialIdeal,
     PrimeSupport,
-    _minimal_transversals,
     associated_primes,
     colon,
     intersect,
     intersect_all,
+    irreducible_covers,
     irreducible_decomposition,
     limited,
     limits,
@@ -35,9 +36,12 @@ from maxdepth.ideals import (
     unit_ideal,
     zero_ideal,
 )
+from maxdepth.complexes import cycle_edge_ideal
+from maxdepth.random_instances import random_monomial_ideal
 from maxdepth.regress import C8_PRIMES, c8_ideal
 
 from colon_oracle import colon_search_ass
+from cover_oracle import tight_minimal_covers
 
 
 def mk(n, *exps):
@@ -52,6 +56,20 @@ small_ideals = st.builds(
         for _ in range(3)
     ],
 )
+
+
+def cycle_covers(n):
+    """Minimal vertex covers of the n-cycle by brute force: covers in which
+    no chosen vertex has both neighbours chosen."""
+    return {
+        PrimeSupport(tuple(v for v in range(n) if m >> v & 1))
+        for m in range(1 << n)
+        if all(m >> v & 1 or m >> (v + 1) % n & 1 for v in range(n))
+        and not any(m >> v & 1 and m >> (v - 1) % n & 1 and m >> (v + 1) % n & 1
+                    for v in range(n))
+    }
+
+
 small_monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).map(
     Monomial
 )
@@ -165,9 +183,12 @@ class TestAssociatedPrimes:
             associated_primes(unit_ideal(ring(2)))
 
     def test_search_cap(self):
-        I = mk(2, (40, 0), (0, 40))
+        # the cover search on C16 visits 267 nodes
         with limited(search_cap=100), pytest.raises(CapExceededError):
-            associated_primes(I)
+            associated_primes(cycle_edge_ideal(16))
+        # pairs without a tight generator are cut: 3 nodes, not 1641
+        with limited(search_cap=100):
+            assert associated_primes(mk(2, (40, 0), (0, 40))) == {PrimeSupport((0, 1))}
 
     def test_search_cap_holds_on_repeat_call(self):
         I = parse_generators("x1^3*x2,x2^2*x3,x1*x3^2")
@@ -207,13 +228,13 @@ class TestLimits:
         assert limits() == Limits()
 
     def test_outer_limits_return_after_cap_exceeded(self):
-        I = mk(2, (40, 0), (0, 40))
+        I = cycle_edge_ideal(16)
         with limited(max_vertices=7):
             with pytest.raises(CapExceededError), limited(search_cap=100):
                 associated_primes(I)
             assert limits() == Limits(max_vertices=7)
         assert limits() == Limits()
-        assert associated_primes(I) == {PrimeSupport((0, 1))}
+        assert associated_primes(I) == cycle_covers(16)
 
 
 class TestMinimalTransversals:
@@ -227,9 +248,31 @@ class TestMinimalTransversals:
             if all(e & set(t) for e in edges)
         ]
         minimal = {t for t in covers if not any(s < t for s in covers)}
-        got = _minimal_transversals(edges, Limits().search_cap)
+        # each edge as a squarefree generator; a cover holds the pairs (v, 1)
+        I = mk(6, *(tuple(int(v in e) for v in range(6)) for e in edges))
+        got = [frozenset(v for v, _ in c) for c in irreducible_covers(I)]
         assert len(got) == len(set(got))
         assert set(got) == minimal
+
+
+class TestIrreducibleCovers:
+    def test_matches_tight_minimal_covers(self, pool_mixed):
+        # the search against every minimal cover of pol I, found by brute
+        # force and kept when each pair has a tight generator
+        rng = random.Random(7)
+        deep = [random_monomial_ideal(rng, rng.randint(2, 3), max_gens=5, max_exp=5)
+                for _ in range(200)]
+        for I in pool_mixed + deep:
+            assert irreducible_covers(I) == tight_minimal_covers(I), I.format()
+
+    def test_exponents_do_not_multiply_the_search(self):
+        # pol I has 976695 minimal vertex covers, 4 of them tight
+        I = parse_generators("x2^15*x3^8,x1^7*x2^16,x1^255,x1*x3^256")
+        with limited(search_cap=100):
+            comps = irreducible_decomposition(I)
+        assert len(comps) == 4
+        assert all(len(g.support) == 1 for c in comps for g in c.gens)
+        assert intersect_all(I.ring, comps) == I
 
 
 class TestIrreducibleDecomposition:
