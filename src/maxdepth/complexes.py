@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CapExceededError,
@@ -36,16 +36,16 @@ def _facet_key(f: tuple[int, ...]):
     return (len(f), f)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    n: int
-    facets: tuple[tuple[int, ...], ...]
+class SimplicialComplex(NamedTuple(
+    "SimplicialComplex", [("n", int), ("facets", tuple[tuple[int, ...], ...])]
+)):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, facets: tuple[tuple[int, ...], ...]):
+        if n < 0:
             raise MalformedInputError("vertex count must be non-negative")
-        cleaned = sorted({tuple(sorted(set(f))) for f in self.facets}, key=_facet_key)
-        if any(f and (f[0] < 0 or f[-1] >= self.n) for f in cleaned):
+        cleaned = sorted({tuple(sorted(set(f))) for f in facets}, key=_facet_key)
+        if any(f and (f[0] < 0 or f[-1] >= n) for f in cleaned):
             raise MalformedInputError("facet vertex out of range")
         # largest first: a facet can only lie strictly inside a larger one, and
         # `<` on frozensets compares sizes before it tests members
@@ -54,7 +54,7 @@ class SimplicialComplex:
             s = frozenset(f)
             if not any(map(s.__lt__, maximal)):
                 maximal[s] = f
-        object.__setattr__(self, "facets", tuple(reversed(maximal.values())) or ((),))
+        return super().__new__(cls, n, tuple(reversed(maximal.values())) or ((),))
 
     @property
     def dim(self) -> int:

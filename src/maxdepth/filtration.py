@@ -5,8 +5,7 @@ empty intersection at the top is encoded by the unit ideal (M_i = M).
 """
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedInputError, SquarefreeRequiredError, UndefinedModuleError
 from .ideals import (
@@ -27,16 +26,14 @@ from .invariants import complex_table, profile
 from .random_instances import random_complex
 
 
-@dataclass(frozen=True)
-class FiltrationLevel:
+class FiltrationLevel(NamedTuple):
     index: int
     ideal: MonomialIdeal  # I^(i)
     nonzero: bool  # M_i != 0
     ass_level: tuple[PrimeSupport, ...]  # Ass^i = primes of dimension i
 
 
-@dataclass(frozen=True)
-class DimensionFiltration:
+class DimensionFiltration(NamedTuple):
     base: MonomialIdeal
     levels: tuple[FiltrationLevel, ...]  # indices 0..dim
     t: int  # smallest i with M_i != 0
@@ -131,8 +128,7 @@ def mdepth_chain(f: DimensionFiltration) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DepthInterval:
+class DepthInterval(NamedTuple):
     lo: int
     hi: int
 
@@ -141,8 +137,7 @@ class DepthInterval:
         return self.lo == self.hi
 
 
-@dataclass(frozen=True)
-class LevelIntervals:
+class LevelIntervals(NamedTuple):
     index: int
     module: DepthInterval | None  # depth of M_i, None when M_i = 0
     quotient: DepthInterval | None  # depth of M_i/M_{i-1}, None when zero
@@ -191,8 +186,7 @@ def quotient_depth_intervals(f: DimensionFiltration) -> tuple[LevelIntervals, ..
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SeqCMResult:
+class SeqCMResult(NamedTuple):
     status: str  # "true" | "false" | "undecided"
     witness_skeleton: int | None = None
     witness_face: tuple[int, ...] | None = None
@@ -246,16 +240,14 @@ ATT_NOTES = (
 )
 
 
-@dataclass(frozen=True)
-class AttClaim:
+class AttClaim(NamedTuple):
     degree: int
     kind: str  # "full" | "min-att" | "lower-bound"
     tag: str  # justification
     primes: tuple[PrimeSupport, ...]
 
 
-@dataclass(frozen=True)
-class AttReport:
+class AttReport(NamedTuple):
     claims: tuple[AttClaim, ...]
     notes: tuple[str, ...] = ATT_NOTES
 
@@ -290,8 +282,7 @@ def att_report(I: MonomialIdeal) -> AttReport:
     return AttReport(tuple(claims))
 
 
-@dataclass(frozen=True)
-class PsuppEntry:
+class PsuppEntry(NamedTuple):
     degree: int
     faces: tuple[tuple[int, ...], ...]
 
@@ -314,30 +305,29 @@ def psupp_monomial(I: MonomialIdeal, i: int) -> PsuppEntry:
 # ---------------------------------------------------------------------------
 # open-question prober: finite-length local cohomology under maximal depth
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    samples: int = 200
-    max_vertices: int = 7
-    min_vertices: int = 3
-    seed: int = 0
+class ProbeConfig(NamedTuple("ProbeConfig", [
+    ("samples", int), ("max_vertices", int), ("min_vertices", int), ("seed", int)
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.samples < 0 or not 1 <= self.min_vertices <= self.max_vertices:
+    def __new__(cls, samples: int = 200, max_vertices: int = 7, min_vertices: int = 3,
+                seed: int = 0):
+        self = super().__new__(cls, samples, max_vertices, min_vertices, seed)
+        if samples < 0 or not 1 <= min_vertices <= max_vertices:
             raise MalformedInputError(
                 f"probe needs samples >= 0 and 1 <= min_vertices <= max_vertices, got {self}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class ProbeHit:
+class ProbeHit(NamedTuple):
     ideal: MonomialIdeal
     degree: int
     depth: int
     dim: int
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     config: ProbeConfig
     samples_run: int
     eligible: int  # instances with maximal depth and depth > 0
@@ -350,6 +340,8 @@ def probe_open_question(config: ProbeConfig) -> ProbeReport:
     Every hit is reported verbatim; an empty hit list means no
     counterexample was found at this sample size.
     """
+    import random  # only the prober needs it; the other commands start without it
+
     rng = random.Random(config.seed)
     hits = []
     eligible = 0

@@ -9,8 +9,8 @@ import json
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from .errors import (
     CapExceededError,
@@ -21,8 +21,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     """Caps on a computation: the nodes one vertex cover search may visit,
     and the vertex count of a Stanley-Reisner complex (after polarization)."""
 
@@ -38,7 +37,10 @@ limits = _limits.get  # the limits in force
 def limited(**caps):
     """Run the block with the named caps replaced; the previous limits return
     when it exits, also by an exception."""
-    token = _limits.set(replace(_limits.get(), **caps))
+    try:
+        token = _limits.set(_limits.get()._replace(**caps))
+    except ValueError as exc:  # a name that is not a cap
+        raise TypeError(exc) from None
     try:
         yield
     finally:
@@ -56,17 +58,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple("FieldSpec", [("characteristic", int)])):
     """Coefficient field tag: characteristic 0 (rationals) or a prime field."""
 
-    characteristic: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
+    def __new__(cls, characteristic: int = 0):
+        if characteristic != 0 and not _is_prime(characteristic):
             raise MalformedInputError(
-                f"field characteristic must be 0 or prime, got {self.characteristic}"
+                f"field characteristic must be 0 or prime, got {characteristic}"
             )
+        return super().__new__(cls, characteristic)
 
     @property
     def label(self) -> str:
@@ -77,16 +79,17 @@ QQ = FieldSpec(0)
 F2 = FieldSpec(2)
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
-    names: tuple[str, ...]
-    field_spec: FieldSpec = QQ
+class RingDescriptor(NamedTuple(
+    "RingDescriptor", [("names", tuple[str, ...]), ("field_spec", FieldSpec)]
+)):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.names) < 1:
+    def __new__(cls, names: tuple[str, ...], field_spec: FieldSpec = QQ):
+        if len(names) < 1:
             raise MalformedInputError("ring needs at least one variable")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise MalformedInputError("variable names must be distinct")
+        return super().__new__(cls, names, field_spec)
 
     @property
     def n(self) -> int:
@@ -100,13 +103,13 @@ def ring(n: int, field: FieldSpec = QQ, names: tuple[str, ...] | None = None) ->
     return RingDescriptor(names, field)
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    exponents: tuple[int, ...]
+class Monomial(NamedTuple("Monomial", [("exponents", tuple[int, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
+    def __new__(cls, exponents: tuple[int, ...]):
+        if any(e < 0 for e in exponents):
             raise MalformedInputError("exponents must be non-negative")
+        return super().__new__(cls, exponents)
 
     @property
     def degree(self) -> int:
@@ -155,8 +158,7 @@ def variable(rng: RingDescriptor, i: int, power: int = 1) -> Monomial:
     return Monomial(tuple(exps))
 
 
-@dataclass(frozen=True, order=True)
-class PrimeSupport:
+class PrimeSupport(NamedTuple):
     """A monomial prime, given by its generating variables; () is the zero prime."""
 
     vars: tuple[int, ...]
@@ -193,18 +195,18 @@ def _minimal_gens(gens: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    ring: RingDescriptor
-    gens: tuple[Monomial, ...]
+class MonomialIdeal(NamedTuple(
+    "MonomialIdeal", [("ring", RingDescriptor), ("gens", tuple[Monomial, ...])]
+)):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g in self.gens:
-            if len(g.exponents) != self.ring.n:
+    def __new__(cls, ring: RingDescriptor, gens: tuple[Monomial, ...]):
+        for g in gens:
+            if len(g.exponents) != ring.n:
                 raise MalformedInputError(
-                    f"generator has {len(g.exponents)} exponents, ring has {self.ring.n} variables"
+                    f"generator has {len(g.exponents)} exponents, ring has {ring.n} variables"
                 )
-        object.__setattr__(self, "gens", _minimal_gens(tuple(self.gens)))
+        return super().__new__(cls, ring, _minimal_gens(tuple(gens)))
 
     @property
     def is_zero(self) -> bool:
@@ -400,8 +402,7 @@ def primary_decomposition(I: MonomialIdeal) -> tuple[tuple[PrimeSupport, Monomia
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(NamedTuple):
     ideal: MonomialIdeal
     added_vars: int
     slot_owner: tuple[int, ...]  # new variable index -> original variable index

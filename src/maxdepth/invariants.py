@@ -9,8 +9,8 @@ through polarization with the documented degree shift.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     InternalCheckError,
@@ -38,8 +38,7 @@ from .complexes import (
 from .linalg import reduced_homology
 
 
-@dataclass(frozen=True)
-class HochsterDegree:
+class HochsterDegree(NamedTuple):
     degree: int
     contributions: tuple[tuple[tuple[int, ...], int], ...]  # (face, homology dim)
 
@@ -60,8 +59,7 @@ class HochsterDegree:
         return sum(h for _, h in self.contributions)
 
 
-@dataclass(frozen=True)
-class HochsterTable:
+class HochsterTable(NamedTuple):
     degrees: tuple[HochsterDegree, ...]  # cohomological degrees 0..dim
     polarized: bool = False
 
@@ -125,8 +123,7 @@ def _shifted_table(I: MonomialIdeal) -> HochsterTable:
     return HochsterTable(degrees, polarized=True)
 
 
-@dataclass(frozen=True)
-class ModuleProfile:
+class ModuleProfile(NamedTuple):
     ring: RingDescriptor
     ideal: MonomialIdeal | None  # None for formal direct sums
     dim: int
@@ -246,8 +243,7 @@ def projdim(I: MonomialIdeal) -> int:
 # ---------------------------------------------------------------------------
 # localization at face primes and formal direct sums
 
-@dataclass(frozen=True)
-class LocalizationProfile:
+class LocalizationProfile(NamedTuple):
     face: tuple[int, ...]
     codim_of_prime: int  # dim R/p_F = |F|
     profile: ModuleProfile

@@ -11,27 +11,28 @@ broken by the lower row index, which keeps fill-in down.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedInputError, PreconditionError
 from .ideals import FieldSpec
 from .complexes import SimplicialComplex, all_faces, cone_vertices
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]  # (row, col, value)
+class SparseMatrix(NamedTuple(
+    "SparseMatrix", [("rows", int), ("cols", int), ("entries", tuple[tuple[int, int, int], ...])]
+)):
+    """entries are (row, col, value) triples."""
 
-    def __post_init__(self):
-        seen = set()
-        for r, c, _ in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries: tuple[tuple[int, int, int], ...]):
+        if entries:
+            rs, cs, _ = zip(*entries)
+            if min(rs) < 0 or max(rs) >= rows or min(cs) < 0 or max(cs) >= cols:
                 raise MalformedInputError("matrix entry out of range")
-            if (r, c) in seen:
+            if len(set(zip(rs, cs))) != len(entries):
                 raise MalformedInputError("duplicate matrix entry")
-            seen.add((r, c))
+        return super().__new__(cls, rows, cols, entries)
 
     def dense(self) -> list[list[int]]:
         m = [[0] * self.cols for _ in range(self.rows)]
@@ -40,8 +41,7 @@ class SparseMatrix:
         return m
 
 
-@dataclass(frozen=True)
-class HomologyVector:
+class HomologyVector(NamedTuple):
     """dim_K of reduced homology per degree; degrees with zero dim are omitted."""
 
     dims: tuple[tuple[int, int], ...]

@@ -1,8 +1,6 @@
 """Random desk-scale instances for property suites and the prober."""
 from __future__ import annotations
 
-import random
-
 from .complexes import SimplicialComplex
 from .ideals import FieldSpec, Monomial, MonomialIdeal, QQ, ring
 

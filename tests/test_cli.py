@@ -245,3 +245,15 @@ class TestDeterminism:
     def test_probe_byte_identical(self, capsys):
         args = ("--format=json", "--samples=20", "--seed=3", "probe")
         assert run_cli(capsys, *args) == run_cli(capsys, *args)
+
+
+class TestColdStart:
+    def test_cli_import_skips_dataclasses_inspect_and_random(self):
+        # every CLI call pays its imports; -S keeps the host's .pth files out
+        env = dict(os.environ, PYTHONPATH=str(Path(maxdepth.__file__).parents[1]))
+        code = ("import sys, maxdepth.cli; "
+                "print([m for m in ('dataclasses', 'inspect', 'random') if m in sys.modules])")
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

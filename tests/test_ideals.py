@@ -12,10 +12,12 @@ from maxdepth.errors import (
     UndefinedModuleError,
 )
 from maxdepth.ideals import (
+    FieldSpec,
     Limits,
     Monomial,
     MonomialIdeal,
     PrimeSupport,
+    RingDescriptor,
     associated_primes,
     colon,
     intersect,
@@ -36,7 +38,20 @@ from maxdepth.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from maxdepth.complexes import cycle_edge_ideal
+from maxdepth import complexes, filtration, ideals, invariants, linalg
+from maxdepth.complexes import SimplicialComplex, cycle_edge_ideal
+from maxdepth.filtration import (
+    ProbeConfig,
+    ProbeHit,
+    att_report,
+    dimension_filtration,
+    is_sequentially_cm,
+    probe_open_question,
+    psupp_monomial,
+    quotient_depth_intervals,
+)
+from maxdepth.invariants import HochsterDegree, localization_profile, profile
+from maxdepth.linalg import SparseMatrix, boundary_matrix, reduced_homology
 from maxdepth.random_instances import random_monomial_ideal
 from maxdepth.regress import C8_PRIMES, c8_ideal
 
@@ -235,6 +250,112 @@ class TestLimits:
             assert limits() == Limits(max_vertices=7)
         assert limits() == Limits()
         assert associated_primes(I) == cycle_covers(16)
+
+    def test_unknown_cap_is_type_error(self):
+        with pytest.raises(TypeError), limited(bogus=1):
+            pass
+        assert limits() == Limits()
+
+
+def public_records():
+    """One value of every public record type of the engine."""
+    I = parse_generators("x1^2,x1*x2,x2*x3")
+    J = parse_generators("x1*x2,x2*x3")
+    prof = profile(I)
+    f = dimension_filtration(I)
+    levels = quotient_depth_intervals(f)
+    att = att_report(I)
+    triangle = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
+    return [
+        Limits(), I.ring.field_spec, I.ring, I.gens[0], prof.ass[0], I, polarize(I),
+        triangle, boundary_matrix(triangle, 1), reduced_homology(triangle, FieldSpec(2)),
+        prof.hochster.degrees[0], prof.hochster, prof, localization_profile(J, (0,)),
+        f.levels[0], f, levels[-1], levels[-1].module, is_sequentially_cm(J), att.claims[0],
+        att, psupp_monomial(J, 1), ProbeConfig(), ProbeHit(I, 1, 1, 2),
+        probe_open_question(ProbeConfig(samples=5)),
+    ]
+
+
+class TestRecords:
+    """The engine's records are immutable named tuples; their repr, hash,
+    sort order and validation errors are part of the output contract."""
+
+    @pytest.mark.parametrize("rec", public_records(), ids=lambda r: type(r).__name__)
+    def test_read_only(self, rec):
+        for name in type(rec).__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            rec.extra = None
+
+    @pytest.mark.parametrize("rec", public_records(), ids=lambda r: type(r).__name__)
+    def test_hash_is_the_hash_of_the_fields(self, rec):
+        fields = tuple(getattr(rec, name) for name in type(rec).__match_args__)
+        assert hash(rec) == hash(fields)
+
+    def test_every_record_type_is_covered(self):
+        defined = {
+            v for m in (ideals, complexes, linalg, invariants, filtration)
+            for v in vars(m).values()
+            if isinstance(v, type) and issubclass(v, tuple) and v.__module__ == m.__name__
+        }
+        assert {type(r) for r in public_records()} == defined
+
+    def test_repr(self):
+        assert repr(Monomial((2, 0, 1))) == "Monomial(exponents=(2, 0, 1))"
+        assert repr(PrimeSupport((0, 2))) == "PrimeSupport(vars=(0, 2))"
+        assert repr(FieldSpec(2)) == "FieldSpec(characteristic=2)"
+        assert repr(SimplicialComplex(3, ((0, 1), (1, 2), (0, 2), (1,)))) == (
+            "SimplicialComplex(n=3, facets=((0, 1), (0, 2), (1, 2)))"
+        )
+        assert repr(HochsterDegree(1, (((), 1),))) == (
+            "HochsterDegree(degree=1, contributions=(((), 1),))"
+        )
+
+    def test_sort_order(self):
+        monomials = [Monomial((0, 2)), Monomial((1, 0)), Monomial((0, 1)), Monomial((1, 1))]
+        assert sorted(monomials) == [
+            Monomial((0, 1)), Monomial((0, 2)), Monomial((1, 0)), Monomial((1, 1))
+        ]
+        primes = [PrimeSupport((1,)), PrimeSupport(()), PrimeSupport((0, 2)), PrimeSupport((0,))]
+        assert sorted(primes) == [
+            PrimeSupport(()), PrimeSupport((0,)), PrimeSupport((0, 2)), PrimeSupport((1,))
+        ]
+
+    def test_equality_is_tuple_equality(self):
+        assert Monomial((1, 2)) == ((1, 2),)
+        assert PrimeSupport((1, 2)) == Monomial((1, 2))
+        assert Limits(5, 6)._replace(max_vertices=7) == Limits(search_cap=5, max_vertices=7)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FieldSpec(4), "field characteristic must be 0 or prime, got 4"),
+        (lambda: RingDescriptor(()), "ring needs at least one variable"),
+        (lambda: RingDescriptor(("x", "x")), "variable names must be distinct"),
+        (lambda: Monomial((1, -1)), "exponents must be non-negative"),
+        (lambda: MonomialIdeal(ring(2), (Monomial((1, 0, 0)),)),
+         "generator has 3 exponents, ring has 2 variables"),
+        (lambda: SimplicialComplex(-1, ()), "vertex count must be non-negative"),
+        (lambda: SimplicialComplex(3, ((0, 3),)), "facet vertex out of range"),
+        (lambda: SparseMatrix(2, 2, ((0, 2, 1),)), "matrix entry out of range"),
+        (lambda: SparseMatrix(2, 2, ((0, 1, 1), (0, 1, 2))), "duplicate matrix entry"),
+        (lambda: ProbeConfig(samples=-1),
+         "probe needs samples >= 0 and 1 <= min_vertices <= max_vertices, got "
+         "ProbeConfig(samples=-1, max_vertices=7, min_vertices=3, seed=0)"),
+        (lambda: ProbeConfig(max_vertices=2),
+         "probe needs samples >= 0 and 1 <= min_vertices <= max_vertices, got "
+         "ProbeConfig(samples=200, max_vertices=2, min_vertices=3, seed=0)"),
+    ])
+    def test_validation_errors(self, build, message):
+        with pytest.raises(MalformedInputError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_normalised_fields(self):
+        assert MonomialIdeal(ring(2), (Monomial((1, 1)), Monomial((1, 0)))).gens == (
+            Monomial((1, 0)),
+        )
+        assert SimplicialComplex(2, ()).facets == ((),)
+        assert RingDescriptor(("x",)).field_spec == FieldSpec() == FieldSpec(0)
 
 
 class TestMinimalTransversals:

@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from maxdepth.errors import PreconditionError
+from maxdepth.errors import MalformedInputError, PreconditionError
 from maxdepth.ideals import F2, FieldSpec, QQ
 from maxdepth.complexes import SimplicialComplex, all_faces
 from maxdepth.linalg import (
@@ -55,6 +55,26 @@ def sparse_from_dense(rows):
 complexes = st.integers(0, 10 ** 9).map(
     lambda s: random_complex(random.Random(s), random.Random(s ^ 1).randint(2, 6))
 )
+
+
+class TestSparseMatrix:
+    @pytest.mark.parametrize("entry", [(2, 0, 1), (0, 3, 1), (-1, 0, 1), (0, -1, 1)])
+    def test_out_of_range_entry(self, entry):
+        with pytest.raises(MalformedInputError, match="matrix entry out of range"):
+            SparseMatrix(2, 3, ((0, 0, 1), entry))
+
+    def test_duplicate_entry(self):
+        with pytest.raises(MalformedInputError, match="duplicate matrix entry"):
+            SparseMatrix(2, 3, ((0, 0, 1), (1, 2, 1), (0, 0, -1)))
+
+    def test_entry_in_an_empty_matrix(self):
+        with pytest.raises(MalformedInputError, match="matrix entry out of range"):
+            SparseMatrix(0, 0, ((0, 0, 1),))
+        assert SparseMatrix(0, 0, ()).entries == ()
+
+    def test_valid_entries_kept(self):
+        entries = ((1, 2, 5), (0, 0, 1), (1, 0, -1))
+        assert SparseMatrix(2, 3, entries).entries == entries
 
 
 class TestBoundaryMatrix:
