@@ -6,16 +6,12 @@ from .ideals import (
     Limits,
     Monomial,
     MonomialIdeal,
-    Polarization,
     PrimeSupport,
     QQ,
     RingDescriptor,
     associated_primes,
-    colon,
-    intersect,
     irreducible_decomposition,
     limited,
-    minimalize,
     parse_generators,
     polarize,
     primary_decomposition,
@@ -23,7 +19,6 @@ from .ideals import (
     ring,
     tensor_join,
     unit_ideal,
-    zero_ideal,
 )
 from .complexes import (
     SimplicialComplex,
@@ -32,20 +27,14 @@ from .complexes import (
     facet_subcomplex_min_dim,
     from_squarefree_ideal,
     link,
-    minimal_primes,
     parse_edge_list,
-    pure_skeleton,
     to_ideal,
 )
-from .linalg import HomologyVector, SparseMatrix, boundary_matrix, rank, reduced_homology
+from .linalg import reduced_homology
 from .invariants import (
-    HochsterTable,
     ModuleProfile,
-    depth,
     direct_sum_profile,
-    krull_dim,
     localization_profile,
-    mdepth,
     profile,
     projdim,
 )

@@ -23,7 +23,6 @@ from .ideals import (
     FieldSpec,
     Monomial,
     MonomialIdeal,
-    PrimeSupport,
     QQ,
     RingDescriptor,
     irreducible_covers,
@@ -116,12 +115,6 @@ def to_ideal(
         Monomial(tuple(1 if (v, 1) in c else 0 for v in range(cx.n)))
         for c in irreducible_covers(dual)
     ))
-
-
-def minimal_primes(cx: SimplicialComplex) -> frozenset[PrimeSupport]:
-    """Facet complements, as monomial primes."""
-    full = set(range(cx.n))
-    return frozenset(PrimeSupport.of(full - set(f)) for f in cx.facets)
 
 
 def link(cx: SimplicialComplex, face) -> SimplicialComplex:

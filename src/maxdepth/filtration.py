@@ -132,10 +132,6 @@ class DepthInterval(NamedTuple):
     lo: int
     hi: int
 
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
 
 class LevelIntervals(NamedTuple):
     index: int

@@ -133,13 +133,6 @@ class Monomial(NamedTuple("Monomial", [("exponents", tuple[int, ...])])):
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
-    def colon_by(self, u: "Monomial") -> "Monomial":
-        """self / gcd(self, u)."""
-        return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exponents, u.exponents)))
-
-    def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     def format(self, rng: RingDescriptor) -> str:
         if self.is_one:
             return "1"
@@ -217,10 +210,6 @@ class MonomialIdeal(NamedTuple(
         return len(self.gens) == 1 and self.gens[0].is_one
 
     @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
-    @property
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree for g in self.gens)
 
@@ -247,11 +236,6 @@ def unit_ideal(rng: RingDescriptor) -> MonomialIdeal:
     return MonomialIdeal(rng, (Monomial((0,) * rng.n),))
 
 
-def minimalize(rng: RingDescriptor, gens) -> MonomialIdeal:
-    """Canonical ideal from an arbitrary generator list."""
-    return MonomialIdeal(rng, tuple(gens))
-
-
 def _require_same_ring(I: MonomialIdeal, J: MonomialIdeal):
     if I.ring != J.ring:
         raise RingMismatchError("operands live in different rings")
@@ -269,13 +253,6 @@ def intersect_all(rng: RingDescriptor, ideals) -> MonomialIdeal:
     if not ideals:
         return unit_ideal(rng)
     return reduce(intersect, ideals)
-
-
-def colon(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
-    """(I : u) for a monomial u."""
-    if len(u.exponents) != I.ring.n:
-        raise RingMismatchError("monomial has wrong ambient length")
-    return MonomialIdeal(I.ring, tuple(g.colon_by(u) for g in I.gens))
 
 
 def prime_ideal(rng: RingDescriptor, p: PrimeSupport) -> MonomialIdeal:
@@ -413,11 +390,7 @@ def polarize(I: MonomialIdeal) -> Polarization:
     if I.is_unit:
         raise UndefinedModuleError("cannot polarize the unit ideal")
     rng = I.ring
-    maxexp = [0] * rng.n
-    for g in I.gens:
-        for i, e in enumerate(g.exponents):
-            maxexp[i] = max(maxexp[i], e)
-    slots = [max(1, e) for e in maxexp]
+    slots = [max(1, e) for e in I.lcm_of_gens().exponents]
     names: list[str] = []
     owner: list[int] = []
     start = [0] * rng.n

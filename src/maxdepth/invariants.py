@@ -160,24 +160,6 @@ class ModuleProfile(NamedTuple):
         return all(self.hochster.at(i).finite_length for i in range(self.dim))
 
 
-def krull_dim(I: MonomialIdeal) -> int:
-    """dim S/I = max of dim R/p over the associated primes."""
-    if I.is_unit:
-        raise UndefinedModuleError("the unit ideal defines the zero module")
-    return max(p.dim_in(I.ring) for p in associated_primes(I))
-
-
-def mdepth(I: MonomialIdeal) -> int:
-    """min of dim R/p over the associated primes."""
-    if I.is_unit:
-        raise UndefinedModuleError("the unit ideal defines the zero module")
-    return min(p.dim_in(I.ring) for p in associated_primes(I))
-
-
-def depth(I: MonomialIdeal) -> int:
-    return profile(I).depth
-
-
 def profile(I: MonomialIdeal) -> ModuleProfile:
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")

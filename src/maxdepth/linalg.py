@@ -1,16 +1,17 @@
 """Exact ranks and reduced simplicial homology over the configured field.
 
-No floating point anywhere.  `rank` is one sparse column elimination.  Over
-GF(p) any nonzero entry may be a pivot.  Over the rationals only entries
-equal to +-1 are pivots, so the integer arithmetic stays exact without a
-division; the columns left with no unit entry form a residual block, which
-fraction-free (Bareiss) elimination finishes.  Boundary matrices have
-entries 0/+-1, so the residual block is rare and small.  Among a column's
-eligible entries the pivot is the row held by the fewest live columns, ties
-broken by the lower row index, which keeps fill-in down.
+No floating point anywhere.  `rank` is one sparse column elimination for
+every field.  Among a column's eligible entries the pivot is the row held by
+the fewest live columns, ties broken by the lower row index, which keeps
+fill-in down.  Over GF(p) every nonzero entry is eligible.  Over the
+rationals the entries equal to +-1 are, so the update needs no division;
+a column with no such entry takes any nonzero pivot c and scales the
+columns it updates by c, dividing each by the gcd of its entries after.
+Boundary matrices have entries 0/+-1, so that case is rare.
 """
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from .errors import MalformedInputError, PreconditionError
@@ -34,27 +35,11 @@ class SparseMatrix(NamedTuple(
                 raise MalformedInputError("duplicate matrix entry")
         return super().__new__(cls, rows, cols, entries)
 
-    def dense(self) -> list[list[int]]:
-        m = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            m[r][c] = v
-        return m
-
 
 class HomologyVector(NamedTuple):
     """dim_K of reduced homology per degree; degrees with zero dim are omitted."""
 
     dims: tuple[tuple[int, int], ...]
-
-    def get(self, i: int) -> int:
-        for d, v in self.dims:
-            if d == i:
-                return v
-        return 0
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.dims
 
 
 def _faces_by_dim(cx: SimplicialComplex) -> dict[int, list[tuple[int, ...]]]:
@@ -87,37 +72,17 @@ def _boundary(by_dim: dict[int, list[tuple[int, ...]]], i: int) -> SparseMatrix:
     return SparseMatrix(len(bottom), len(top), tuple(entries))
 
 
-def _rank_bareiss(mat: list[list[int]]) -> int:
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    r = 0
-    prev = 1
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot_row = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, rows):
-            head = mat[i][c]
-            row_i, row_r = mat[i], mat[r]
-            for k in range(c, cols):
-                row_i[k] = (row_i[k] * piv - head * row_r[k]) // prev
-        prev = piv
-        r += 1
-    return r
-
-
 def rank(m: SparseMatrix, field: FieldSpec) -> int:
     """Exact rank over the given field, by sparse column elimination.
 
-    Columns are taken in index order.  A pivot (r, j) is eliminated from
-    every live column holding row r, which keeps each such column in the
-    span of the original ones; the pivot column then leaves.  The pivot
-    rows and columns found this way form a triangular block with an
-    invertible diagonal, and every other column is zero on the pivot rows,
-    so the rank is the pivot count plus the rank of the residual block.
+    Columns are taken in index order, and each nonzero one gives a pivot
+    (r, j) that is eliminated from every live column holding row r; the
+    pivot column then leaves.  The pivot rows are distinct and every later
+    column is zero on the earlier ones, so the pivot columns are
+    independent and each column left zero lies in their span: the rank is
+    the pivot count.  A live column t with entry a at the pivot c becomes
+    t - (a / c) col, or over the rationals, when c is not a unit,
+    (c t - a col) divided by the gcd of its entries, which stays integral.
     """
     p = field.characteristic
     cols: list[dict[int, int]] = [{} for _ in range(m.cols)]
@@ -129,23 +94,26 @@ def rank(m: SparseMatrix, field: FieldSpec) -> int:
             cols[c][r] = v
             holders.setdefault(r, set()).add(c)
     pivots = 0
-    residual: list[dict[int, int]] = []
     for j, col in enumerate(cols):
         if not col:
             continue
-        eligible = list(col) if p else [s for s, v in col.items() if v == 1 or v == -1]
-        if not eligible:
-            residual.append(col)  # later pivots still update it in place
-            continue
+        units = list(col) if p else [s for s, v in col.items() if v == 1 or v == -1]
+        eligible = units or list(col)
         r = eligible[0] if len(eligible) == 1 else min(
             eligible, key=lambda s: (len(holders[s]), s))
         pivots += 1
-        inv = pow(col[r], -1, p) if p else col[r]  # a unit is its own inverse
+        c = col[r]
+        inv = pow(c, -1, p) if p else c  # a unit is its own inverse
         for s in col:
             holders[s].discard(j)
         for k in holders.pop(r):
             target = cols[k]
-            a = target.pop(r) * inv
+            a = target.pop(r)
+            if units:
+                a *= inv
+            else:
+                for s in target:
+                    target[s] *= c
             for s, b in col.items():
                 if s == r:
                     continue
@@ -159,16 +127,12 @@ def rank(m: SparseMatrix, field: FieldSpec) -> int:
                 else:
                     del target[s]
                     holders[s].discard(k)
-    residual = [col for col in residual if col]
-    if not residual:
-        return pivots
-    rows = sorted({r for col in residual for r in col})
-    index = {r: i for i, r in enumerate(rows)}
-    dense = [[0] * len(residual) for _ in rows]
-    for j, col in enumerate(residual):
-        for r, v in col.items():
-            dense[index[r]][j] = v
-    return pivots + _rank_bareiss(dense)
+            if not units and target:
+                g = gcd(*target.values())
+                if g > 1:
+                    for s in target:
+                        target[s] //= g
+    return pivots
 
 
 # cache keyed by label-compressed facets: homology ignores the ambient

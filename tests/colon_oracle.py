@@ -6,7 +6,18 @@ search runs over that exponent box.
 """
 import itertools
 
-from maxdepth.ideals import Monomial, PrimeSupport, colon
+from maxdepth.errors import RingMismatchError
+from maxdepth.ideals import Monomial, MonomialIdeal, PrimeSupport
+
+
+def colon(I, u):
+    """(I : u) for a monomial u: each generator g becomes g / gcd(g, u)."""
+    if len(u.exponents) != I.ring.n:
+        raise RingMismatchError("monomial has wrong ambient length")
+    return MonomialIdeal(I.ring, tuple(
+        Monomial(tuple(max(a - b, 0) for a, b in zip(g.exponents, u.exponents)))
+        for g in I.gens
+    ))
 
 
 def _as_prime(J):

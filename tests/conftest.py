@@ -3,10 +3,25 @@ import random
 import pytest
 
 from maxdepth.complexes import SimplicialComplex, to_ideal
-from maxdepth.ideals import F2, QQ, ring
-from maxdepth.random_instances import random_complex, random_monomial_ideal
+from maxdepth.ideals import F2, QQ, Monomial, MonomialIdeal, ring
+from maxdepth.random_instances import random_complex
 
 POOL_SEED = 20260824
+
+
+def random_monomial_ideal(rng, n, max_gens=4, max_exp=3, field=QQ):
+    """Random proper (possibly non-squarefree) monomial ideal."""
+    gens = []
+    for _ in range(rng.randint(1, max_gens)):
+        exps = [0] * n
+        for i in range(n):
+            if rng.random() < 0.5:
+                exps[i] = rng.randint(1, max_exp)
+        if any(exps):
+            gens.append(Monomial(tuple(exps)))
+    if not gens:
+        gens.append(Monomial(tuple([1] + [0] * (n - 1))))
+    return MonomialIdeal(ring(n, field), tuple(gens))
 
 
 @pytest.fixture(scope="session")

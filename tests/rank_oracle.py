@@ -5,6 +5,14 @@ This was the engine's own prime-field route before the sparse kernel.
 """
 
 
+def dense(m) -> list[list[int]]:
+    """A SparseMatrix as a list of rows."""
+    rows = [[0] * m.cols for _ in range(m.rows)]
+    for r, c, v in m.entries:
+        rows[r][c] = v
+    return rows
+
+
 def rank_modp(mat: list[list[int]], p: int) -> int:
     rows, cols = len(mat), len(mat[0]) if mat else 0
     mat = [[v % p for v in row] for row in mat]

@@ -29,7 +29,6 @@ from maxdepth.complexes import (
     facet_subcomplex_min_dim,
     from_squarefree_ideal,
     link,
-    minimal_primes,
     parse_edge_list,
     pure_skeleton,
     to_ideal,
@@ -97,27 +96,35 @@ class TestToIdeal:
         assert to_ideal(from_squarefree_ideal(I), I.ring) == I
 
 
+def facet_complements(cx):
+    full = set(range(cx.n))
+    return frozenset(PrimeSupport.of(full - set(f)) for f in cx.facets)
+
+
 class TestMinimalPrimes:
+    """A squarefree ideal is radical, so its associated primes are the
+    minimal primes: the facet complements of its Stanley-Reisner complex."""
+
     def test_c8(self):
         cx = from_squarefree_ideal(cycle_edge_ideal(8))
-        assert minimal_primes(cx) == frozenset(PrimeSupport(p) for p in C8_PRIMES)
+        assert facet_complements(cx) == frozenset(PrimeSupport(p) for p in C8_PRIMES)
+        assert associated_primes(to_ideal(cx)) == facet_complements(cx)
 
     def test_full_simplex_gives_zero_prime(self):
-        assert minimal_primes(SimplicialComplex(2, ((0, 1),))) == frozenset(
+        assert associated_primes(to_ideal(SimplicialComplex(2, ((0, 1),)))) == frozenset(
             {PrimeSupport(())}
         )
 
     def test_empty_complex_gives_maximal(self):
-        assert minimal_primes(SimplicialComplex(2, ((),))) == frozenset(
+        assert associated_primes(to_ideal(SimplicialComplex(2, ((),)))) == frozenset(
             {PrimeSupport((0, 1))}
         )
 
     @given(complexes)
     @settings(max_examples=60)
     def test_matches_associated_primes(self, cx):
-        # squarefree ideals are radical: Ass is exactly the facet complements
         I = to_ideal(cx)
-        assert minimal_primes(cx) == associated_primes(I) == colon_search_ass(I)
+        assert facet_complements(cx) == associated_primes(I) == colon_search_ass(I)
 
 
 class TestLink:

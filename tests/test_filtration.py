@@ -229,7 +229,6 @@ class TestDepthIntervals:
     def test_c8_pinned_level(self):
         iv = quotient_depth_intervals(dimension_filtration(c8_ideal()))
         assert iv[3].module.lo == iv[3].module.hi == 2
-        assert iv[3].module.exact
 
     def test_top_level_is_global_depth(self):
         for I in (c8_ideal(), two_planes_ideal()):
