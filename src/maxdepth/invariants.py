@@ -35,7 +35,7 @@ from .complexes import (
     link,
     to_ideal,
 )
-from .linalg import reduced_homology
+from .linalg import _mask_homology, reduced_homology
 
 
 class HochsterDegree(NamedTuple):
@@ -85,7 +85,8 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
     Only faces equal to the intersection of the facets that hold them are
     scanned.  Any other face s has a vertex outside s in every facet
     through s, so link s is a cone over that vertex and has no reduced
-    homology.  The link is built from the facets found by that test.
+    homology.  The link's facets are the masks of the facets found by that
+    test, less the face.
     """
     d = max(len(f) for f in cx.facets)  # Krull dimension of k[cx]
     contribs: dict[int, list[tuple[tuple[int, ...], int]]] = {i: [] for i in range(d + 1)}
@@ -95,14 +96,13 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
         sm = sum(1 << v for v in s)
         common = everything
         star = []
-        for f, fm in zip(cx.facets, masks):
+        for fm in masks:
             if fm & sm == sm:
                 common &= fm
-                star.append(f)
+                star.append(fm ^ sm)
         if common != sm:
             continue  # link s is a cone
-        lk = SimplicialComplex(cx.n, tuple(tuple(v for v in f if not sm >> v & 1) for f in star))
-        hv = reduced_homology(lk, field)
+        hv = _mask_homology(star, field)
         for j, h in hv.dims:
             contribs[j + len(s) + 1].append((s, h))
     return HochsterTable(tuple(HochsterDegree(i, tuple(contribs[i])) for i in range(d + 1)))

@@ -1,13 +1,19 @@
 """Exact ranks and reduced simplicial homology over the configured field.
 
-No floating point anywhere.  `rank` is one sparse column elimination for
-every field.  Among a column's eligible entries the pivot is the row held by
-the fewest live columns, ties broken by the lower row index, which keeps
-fill-in down.  Over GF(p) every nonzero entry is eligible.  Over the
-rationals the entries equal to +-1 are, so the update needs no division;
-a column with no such entry takes any nonzero pivot c and scales the
-columns it updates by c, dividing each by the gcd of its entries after.
-Boundary matrices have entries 0/+-1, so that case is rare.
+No floating point anywhere.  Homology is computed on facet bitmasks: the
+complex is strongly collapsed, and its core is ranked by XOR elimination
+over GF(2), which settles QQ too unless the GF(2) homology spans two or
+more degrees; those cores, and every core over an odd prime field, are
+ranked by `rank`.
+
+`rank` is one sparse column elimination for every field.  Among a column's
+eligible entries the pivot is the row held by the fewest live columns, ties
+broken by the lower row index, which keeps fill-in down.  Over GF(p) every
+nonzero entry is eligible.  Over the rationals the entries equal to +-1 are,
+so the update needs no division; a column with no such entry takes any
+nonzero pivot c and scales the columns it updates by c, dividing each by the
+gcd of its entries after.  Boundary matrices have entries 0/+-1, so that
+case is rare.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import MalformedInputError, PreconditionError
 from .ideals import FieldSpec
-from .complexes import SimplicialComplex, all_faces, cone_vertices
+from .complexes import SimplicialComplex
 
 
 class SparseMatrix(NamedTuple(
@@ -42,11 +48,37 @@ class HomologyVector(NamedTuple):
     dims: tuple[tuple[int, int], ...]
 
 
-def _faces_by_dim(cx: SimplicialComplex) -> dict[int, list[tuple[int, ...]]]:
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for f in all_faces(cx):
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    return by_dim
+def _faces_by_size(masks: list[int]) -> list[list[int]]:
+    """Every face of the complex with these facet masks, as masks, listed by
+    vertex count; entry 0 is [0], the empty face."""
+    seen = set()
+    for m in masks:
+        sub = m
+        while sub:
+            seen.add(sub)
+            sub = (sub - 1) & m
+    by_size: list[list[int]] = [[0]] + [[] for _ in range(max(m.bit_count() for m in masks))]
+    for f in sorted(seen):
+        by_size[f.bit_count()].append(f)
+    return by_size
+
+
+def _boundary(by_size: list[list[int]], size: int) -> SparseMatrix:
+    """The reduced boundary map from the faces with `size` vertices: a
+    face's k-th vertex in ascending order is dropped with sign (-1)^k."""
+    bottom = by_size[size - 1] if size else []
+    index = {f: r for r, f in enumerate(bottom)}
+    entries = []
+    for c, f in enumerate(by_size[size]):
+        sign, rest = 1, f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            entries.append((index[f ^ low], c, sign))
+            sign = -sign
+    # `_make` skips the validating constructor: distinct faces give in-range,
+    # distinct entries
+    return SparseMatrix._make((len(bottom), len(by_size[size]), tuple(entries)))
 
 
 def boundary_matrix(cx: SimplicialComplex, i: int) -> SparseMatrix:
@@ -57,19 +89,7 @@ def boundary_matrix(cx: SimplicialComplex, i: int) -> SparseMatrix:
     """
     if not -1 <= i <= cx.dim:
         raise PreconditionError(f"boundary degree {i} out of range")
-    return _boundary(_faces_by_dim(cx), i)
-
-
-def _boundary(by_dim: dict[int, list[tuple[int, ...]]], i: int) -> SparseMatrix:
-    top = by_dim.get(i, [])
-    bottom = by_dim.get(i - 1, [])
-    index = {f: r for r, f in enumerate(bottom)}
-    entries = []
-    for c, f in enumerate(top):
-        for k in range(len(f)):
-            sub = f[:k] + f[k + 1:]
-            entries.append((index[sub], c, (-1) ** k))
-    return SparseMatrix(len(bottom), len(top), tuple(entries))
+    return _boundary(_faces_by_size([sum(1 << v for v in f) for f in cx.facets]), i + 1)
 
 
 def rank(m: SparseMatrix, field: FieldSpec) -> int:
@@ -135,39 +155,106 @@ def rank(m: SparseMatrix, field: FieldSpec) -> int:
     return pivots
 
 
-# cache keyed by label-compressed facets: homology ignores the ambient
-# vertex numbering
+def _gf2_rank(by_size: list[list[int]], size: int) -> int:
+    """Rank over GF(2) of the boundary map from the faces with `size`
+    vertices: each column is an int over the row indices, reduced by XOR
+    against the pivot column that owns its highest bit."""
+    index = {f: r for r, f in enumerate(by_size[size - 1])}
+    pivots: dict[int, int] = {}
+    for f in by_size[size]:
+        col, rest = 0, f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            col |= 1 << index[f ^ low]
+        while col:
+            top = col.bit_length()
+            if top not in pivots:
+                pivots[top] = col
+                break
+            col ^= pivots[top]
+    return len(pivots)
+
+
+def _betti(by_size: list[list[int]], rank_of) -> tuple[tuple[int, int], ...]:
+    """(degree, dim) of each nonzero reduced homology group, given the rank
+    of the boundary map from each face size >= 2 as rank_of(size); the
+    augmentation has rank 1."""
+    ranks = [0, 1] + [rank_of(s) for s in range(2, len(by_size))] + [0]
+    return tuple((s - 1, h) for s in range(len(by_size))
+                 if (h := len(by_size[s]) - ranks[s] - ranks[s + 1]))
+
+
+def _strong_core(masks: list[int]) -> list[int]:
+    """Facet masks (an antichain) after every strong collapse: a vertex v
+    is deleted when another vertex lies in every facet through v, and the
+    facets that stay maximal are kept.  The core has the homotopy type of
+    the complex (Barmak-Minian), so the same homology over every field; a
+    single vertex left means none."""
+    union = 0
+    for m in masks:
+        union |= m
+    deleted = True
+    while deleted:
+        deleted = False
+        rest = union
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            common = union
+            for m in masks:
+                if m & v:
+                    common &= m
+            if common == v:
+                continue
+            # facets through v differ off v, so a cut facet f - v can only
+            # lie inside a facet missing v
+            keep = [m for m in masks if not m & v]
+            masks = keep + [c for c in (m ^ v for m in masks if m & v)
+                            if not any(c & g == c for g in keep)]
+            union ^= v
+            deleted = True
+    return masks
+
+
 _homology_cache: dict[tuple, HomologyVector] = {}
 _ZERO = HomologyVector(())
 
 
-def _compressed_key(cx: SimplicialComplex, char: int) -> tuple:
-    used = cx.vertices_used()
-    relabel = {v: i for i, v in enumerate(used)}
-    facets = tuple(sorted(tuple(relabel[v] for v in f) for f in cx.facets))
-    return (facets, char)
+def _mask_homology(masks: list[int], field: FieldSpec) -> HomologyVector:
+    """Reduced homology of the complex whose facets are these masks.
+
+    The cache is keyed on the strong core with its vertices relabelled in
+    order.  Over GF(2) the XOR ranks are the answer.  Over QQ they are the
+    answer too when the GF(2) homology sits in at most one degree: each
+    rational Betti number is at most the GF(2) one (universal coefficients)
+    and the alternating sums agree.  Other cores, and every core over an
+    odd prime field, are ranked by `rank`.
+    """
+    if masks == [0]:
+        return HomologyVector(((-1, 1),))
+    core = _strong_core(masks)
+    if len(core) == 1:
+        return _ZERO
+    union = 0
+    for m in core:
+        union |= m
+    bits = [1 << v for v in range(union.bit_length()) if union >> v & 1]
+    core = sorted(sum(1 << i for i, b in enumerate(bits) if m & b) for m in core)
+    p = field.characteristic
+    key = (tuple(core), p)
+    cached = _homology_cache.get(key)
+    if cached is not None:
+        return cached
+    by_size = _faces_by_size(core)
+    dims = None if p % 2 else _betti(by_size, lambda s: _gf2_rank(by_size, s))
+    if dims is None or (p == 0 and len(dims) > 1):
+        dims = _betti(by_size, lambda s: rank(_boundary(by_size, s), field))
+    out = HomologyVector(dims)
+    _homology_cache[key] = out
+    return out
 
 
 def reduced_homology(cx: SimplicialComplex, field: FieldSpec) -> HomologyVector:
     """dim_K of reduced homology in every degree -1..dim."""
-    if cx.facets == ((),):
-        return HomologyVector(((-1, 1),))
-    if cone_vertices(cx):
-        return _ZERO
-    key = _compressed_key(cx, field.characteristic)
-    cached = _homology_cache.get(key)
-    if cached is not None:
-        return cached
-    by_dim = _faces_by_dim(cx)
-    d = cx.dim
-    ranks = {i: rank(_boundary(by_dim, i), field) for i in range(0, d + 1)}
-    ranks[-1] = 0
-    ranks[d + 1] = 0
-    dims = []
-    for i in range(-1, d + 1):
-        h = len(by_dim.get(i, [])) - ranks[i] - ranks[i + 1]
-        if h:
-            dims.append((i, h))
-    out = HomologyVector(tuple(dims))
-    _homology_cache[key] = out
-    return out
+    return _mask_homology([sum(1 << v for v in f) for f in cx.facets], field)

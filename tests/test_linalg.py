@@ -7,9 +7,17 @@ from sympy.polys.matrices import DomainMatrix
 
 from maxdepth.errors import MalformedInputError, PreconditionError
 from maxdepth.ideals import F2, FieldSpec, QQ
-from maxdepth.complexes import SimplicialComplex, all_faces
-from maxdepth.linalg import SparseMatrix, boundary_matrix, rank, reduced_homology
+from maxdepth import linalg
+from maxdepth.complexes import (
+    SimplicialComplex,
+    all_faces,
+    cycle_edge_ideal,
+    from_squarefree_ideal,
+    link,
+)
+from maxdepth.linalg import SparseMatrix, _strong_core, boundary_matrix, rank, reduced_homology
 from maxdepth.random_instances import random_complex
+from homology_oracle import FIELDS, full_homology, pool
 from rank_oracle import dense, rank_modp
 
 HOLLOW_TRIANGLE = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
@@ -22,6 +30,25 @@ RP2 = SimplicialComplex(
         (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
     ),
 )
+
+# the 5-vertex Moebius band 123, 124, 135, 245, 345 plus an isolated vertex
+MOBIUS = SimplicialComplex(6, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4), (2, 3, 4), (5,)))
+
+
+def mod3_moore_space() -> SimplicialComplex:
+    """A disk whose boundary 9-gon wraps three times around the hollow
+    triangle abc: H_1 = Z/3 and H_2 = 0 over the integers.  Vertices: a, b, c
+    (0-2), an inner ring q_0..q_8 (3-11) and the centre z (12)."""
+    facets = []
+    for i in range(9):
+        p, p1, q, q1 = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % 9
+        facets += [(p, p1, q), (p1, q, q1), (q, q1, 12)]
+    return SimplicialComplex(13, tuple(facets))
+
+
+def masks(*faces):
+    return sorted(sum(1 << v for v in f) for f in faces)
+
 
 def matrices(entries, max_rows=5, max_cols=5):
     return st.integers(1, max_rows).flatmap(
@@ -235,3 +262,71 @@ class TestReducedHomology:
             cx.n + 1, tuple(f + (apex,) for f in cx.facets)
         )
         assert not reduced_homology(cone, field).dims
+
+
+class TestStrongCore:
+    def test_cone_goes_to_one_vertex(self):
+        cone = masks((0, 1, 3), (1, 2, 3), (0, 2, 3))
+        core = _strong_core(cone)
+        assert len(core) == 1 and core[0].bit_count() == 1
+
+    def test_dominated_vertex_removed(self):
+        # the pendant edge 23 hangs off the hollow triangle; 2 dominates 3
+        core = _strong_core(masks((0, 1), (1, 2), (0, 2), (2, 3)))
+        assert sorted(core) == masks((0, 1), (1, 2), (0, 2))
+
+    def test_hollow_triangle_stays(self):
+        triangle = masks((0, 1), (1, 2), (0, 2))
+        assert sorted(_strong_core(triangle)) == triangle
+
+    def test_two_points_stay(self):
+        assert sorted(_strong_core(masks((0,), (1,)))) == masks((0,), (1,))
+
+
+class TestHomologyOracle:
+    """The facet-mask route against full elimination in every degree."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pool(self, seed):
+        for cx in pool(seed, 100):
+            for field in FIELDS:
+                assert reduced_homology(cx, field).dims == full_homology(cx, field), (cx, field)
+
+    # even lengths cover every residue mod 3, hence every homotopy type of
+    # the cycles' independence complexes (Kozlov)
+    @pytest.mark.parametrize("n", [8, 10, 12, 14, 16])
+    def test_every_link_of_a_cycle(self, n):
+        cx = from_squarefree_ideal(cycle_edge_ideal(n))
+        for s in all_faces(cx):
+            lk = link(cx, s)
+            for field in FIELDS:
+                assert reduced_homology(lk, field).dims == full_homology(lk, field), (s, field)
+
+    def test_every_link_of_the_moebius_example(self):
+        for s in all_faces(MOBIUS):
+            lk = link(MOBIUS, s)
+            for field in FIELDS:
+                assert reduced_homology(lk, field).dims == full_homology(lk, field), (s, field)
+        assert reduced_homology(MOBIUS, QQ).dims == ((0, 1), (1, 1))
+
+    def test_three_torsion(self):
+        cx = mod3_moore_space()
+        got = {field: reduced_homology(cx, field).dims for field in FIELDS}
+        assert got == {field: full_homology(cx, field) for field in FIELDS}
+        assert got[QQ] == got[F2] == ()
+        assert got[FieldSpec(3)] == ((1, 1), (2, 1))
+
+    @pytest.mark.parametrize("field, falls_back", [(QQ, True), (F2, False)])
+    def test_projective_plane_route(self, monkeypatch, field, falls_back):
+        # GF(2) homology in degrees 1 and 2 leaves QQ undecided by the Euler
+        # characteristic, so RP2 (its own core) is ranked exactly
+        calls = []
+
+        def counted(m, f):
+            calls.append(f)
+            return rank(m, f)
+
+        monkeypatch.setattr(linalg, "_homology_cache", {})
+        monkeypatch.setattr(linalg, "rank", counted)
+        assert reduced_homology(RP2, field).dims == full_homology(RP2, field)
+        assert bool(calls) == falls_back
