@@ -85,11 +85,15 @@ def boundary_matrix(cx: SimplicialComplex, i: int) -> SparseMatrix:
     """The reduced boundary map from i-faces to (i-1)-faces.
 
     The empty face is the sole (-1)-face, so the degree-0 map is the
-    augmentation row of ones.
+    augmentation row of ones.  Rows and columns follow the order of
+    `all_faces`.
     """
     if not -1 <= i <= cx.dim:
         raise PreconditionError(f"boundary degree {i} out of range")
-    return _boundary(_faces_by_size([sum(1 << v for v in f) for f in cx.facets]), i + 1)
+    by_size = _faces_by_size([sum(1 << v for v in f) for f in cx.facets])
+    for faces in by_size:
+        faces.sort(key=lambda f: [v for v in range(f.bit_length()) if f >> v & 1])
+    return _boundary(by_size, i + 1)
 
 
 def rank(m: SparseMatrix, field: FieldSpec) -> int:

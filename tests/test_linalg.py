@@ -134,6 +134,16 @@ class TestBoundaryMatrix:
         with pytest.raises(PreconditionError):
             boundary_matrix(HOLLOW_TRIANGLE, 3)
 
+    def test_faces_in_all_faces_order(self):
+        # rows and columns list the faces of each size as `all_faces` does
+        cx = SimplicialComplex(5, ((0, 1, 2, 3), (0, 4), (1, 4)))
+        for i in (1, 2):
+            tops = [f for f in all_faces(cx) if len(f) == i + 1]
+            bottoms = [f for f in all_faces(cx) if len(f) == i]
+            want = {(bottoms.index(f[:k] + f[k + 1:]), c, (-1) ** k)
+                    for c, f in enumerate(tops) for k in range(len(f))}
+            assert set(boundary_matrix(cx, i).entries) == want
+
     @given(complexes)
     @settings(max_examples=60)
     def test_boundary_squares_to_zero(self, cx):
