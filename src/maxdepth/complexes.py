@@ -6,7 +6,6 @@ depth 0 for S/m without special cases.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from typing import NamedTuple
@@ -63,17 +62,31 @@ class SimplicialComplex(NamedTuple(
         s = set(face)
         return any(s <= set(f) for f in self.facets)
 
-    def vertices_used(self) -> tuple[int, ...]:
-        return tuple(sorted({v for f in self.facets for v in f}))
+    @property
+    def masks(self) -> list[int]:
+        """The facets as bitmasks, vertex v at bit v."""
+        return [sum(1 << v for v in f) for f in self.facets]
 
 
-def all_faces(cx: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """Every face (including the empty one), canonically sorted."""
-    seen: set[tuple[int, ...]] = set()
-    for f in cx.facets:
-        for k in range(len(f) + 1):
-            seen.update(itertools.combinations(f, k))
-    return tuple(sorted(seen, key=_facet_key))
+def face_meets(masks: list[int]) -> dict[int, int]:
+    """Every face of the complex with these facet masks, as a mask, mapped
+    to the intersection of the facets that hold it; the empty face is 0.
+    The submasks of each facet are walked once."""
+    meets: dict[int, int] = {}
+    get = meets.get
+    for m in masks:
+        sub = m
+        while sub:
+            meets[sub] = get(sub, m) & m
+            sub = (sub - 1) & m
+        meets[0] = get(0, m) & m
+    return meets
+
+
+def face_tuples(faces) -> list[tuple[int, ...]]:
+    """Face masks as vertex tuples, by size, then lexicographic."""
+    return sorted((tuple(v for v in range(f.bit_length()) if f >> v & 1) for f in faces),
+                  key=_facet_key)
 
 
 def from_squarefree_ideal(I: MonomialIdeal) -> SimplicialComplex:
@@ -132,13 +145,8 @@ def pure_skeleton(cx: SimplicialComplex, i: int) -> SimplicialComplex:
     """Subcomplex generated by all i-dimensional faces."""
     if not -1 <= i <= cx.dim:
         raise PreconditionError(f"skeleton dimension {i} out of range")
-    if i == -1:
-        return SimplicialComplex(cx.n, ((),))
-    faces = {
-        c for f in cx.facets if len(f) >= i + 1
-        for c in itertools.combinations(f, i + 1)
-    }
-    return SimplicialComplex(cx.n, tuple(faces))
+    faces = [f for f in face_meets(cx.masks) if f.bit_count() == i + 1]
+    return SimplicialComplex(cx.n, tuple(face_tuples(faces)))
 
 
 def facet_subcomplex_min_dim(cx: SimplicialComplex, i: int) -> SimplicialComplex:

@@ -17,7 +17,8 @@ from .ideals import (
     unit_ideal,
 )
 from .complexes import (
-    all_faces,
+    face_meets,
+    face_tuples,
     facet_subcomplex_min_dim,
     from_squarefree_ideal,
     to_ideal,
@@ -288,14 +289,15 @@ def psupp_monomial(I: MonomialIdeal, i: int) -> PsuppEntry:
 
     Since lk_{lk F} G = lk(F cup G), G contributes to degree i - |F| of
     k[lk F] exactly when F cup G contributes to degree i of k[cx]: the hits
-    are the faces inside a face that contributes to degree i of cx's table.
+    are the faces of the complex generated by the faces that contribute to
+    degree i of cx's table.
     """
     if not I.is_squarefree:
         raise SquarefreeRequiredError("Psupp scan needs a squarefree ideal")
     cx = from_squarefree_ideal(I)
     t = complex_table(cx, I.ring.field_spec)
-    tops = [set(s) for s, _ in t.at(i).contributions] if 0 <= i < len(t.degrees) else []
-    return PsuppEntry(i, tuple(f for f in all_faces(cx) if any(s.issuperset(f) for s in tops)))
+    tops = t.at(i).contributions if 0 <= i < len(t.degrees) else ()
+    return PsuppEntry(i, tuple(face_tuples(face_meets([sum(1 << v for v in s) for s, _ in tops]))))
 
 
 # ---------------------------------------------------------------------------

@@ -470,7 +470,7 @@ def _parse_monomial_token(token: str) -> dict[int, int]:
     if token == "1":
         return {}
     exps: dict[int, int] = {}
-    if "*" in token or "^" in token:
+    if "*" in token or "^" in token or _STRICT_FACTOR.match(token):
         for factor in token.split("*"):
             m = _STRICT_FACTOR.match(factor.strip())
             if not m:

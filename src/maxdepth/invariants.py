@@ -8,7 +8,6 @@ through polarization with the documented degree shift.
 """
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -30,7 +29,8 @@ from .ideals import (
 )
 from .complexes import (
     SimplicialComplex,
-    all_faces,
+    face_meets,
+    face_tuples,
     from_squarefree_ideal,
     link,
     to_ideal,
@@ -82,27 +82,19 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
     Degree i collects dim H~_{i-|s|-1}(link s) over all faces s; finite
     length at i means only the empty face contributes there.
 
-    Only faces equal to the intersection of the facets that hold them are
-    scanned.  Any other face s has a vertex outside s in every facet
+    Only the faces equal to their meet in `face_meets`, the intersection
+    of the facets that hold them, are scanned, by size, then
+    lexicographic.  Any other face s has a vertex outside s in every facet
     through s, so link s is a cone over that vertex and has no reduced
-    homology.  The link's facets are the masks of the facets found by that
-    test, less the face.
+    homology.  The link's facets are the masks of the facets through s,
+    less s.
     """
     d = max(len(f) for f in cx.facets)  # Krull dimension of k[cx]
     contribs: dict[int, list[tuple[tuple[int, ...], int]]] = {i: [] for i in range(d + 1)}
-    masks = [sum(1 << v for v in f) for f in cx.facets]
-    everything = (1 << cx.n) - 1
-    for s in all_faces(cx):
+    masks = cx.masks
+    for s in face_tuples(sm for sm, meet in face_meets(masks).items() if sm == meet):
         sm = sum(1 << v for v in s)
-        common = everything
-        star = []
-        for fm in masks:
-            if fm & sm == sm:
-                common &= fm
-                star.append(fm ^ sm)
-        if common != sm:
-            continue  # link s is a cone
-        hv = _mask_homology(star, field)
+        hv = _mask_homology([fm ^ sm for fm in masks if fm & sm == sm], field)
         for j, h in hv.dims:
             contribs[j + len(s) + 1].append((s, h))
     return HochsterTable(tuple(HochsterDegree(i, tuple(contribs[i])) for i in range(d + 1)))
@@ -185,13 +177,12 @@ def _upper_koszul(I: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     n = I.ring.n
     sup = b.support
     faces = []
-    for k in range(len(sup) + 1):
-        for s in itertools.combinations(sup, k):
-            exps = list(b.exponents)
-            for v in s:
-                exps[v] -= 1
-            if I.contains(Monomial(tuple(exps))):
-                faces.append(s)
+    for s in face_tuples(face_meets([sum(1 << v for v in sup)])):
+        exps = list(b.exponents)
+        for v in s:
+            exps[v] -= 1
+        if I.contains(Monomial(tuple(exps))):
+            faces.append(s)
     if not faces:
         return SimplicialComplex(n, ((),))
     return SimplicialComplex(n, tuple(faces))

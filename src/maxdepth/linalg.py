@@ -4,7 +4,8 @@ No floating point anywhere.  Homology is computed on facet bitmasks: the
 complex is strongly collapsed, and its core is ranked by XOR elimination
 over GF(2), which settles QQ too unless the GF(2) homology spans two or
 more degrees; those cores, and every core over an odd prime field, are
-ranked by `rank`.
+ranked by `rank`.  The faces of a core are the submasks of its facets, as
+`complexes.face_meets` walks them.
 
 `rank` is one sparse column elimination for every field.  Among a column's
 eligible entries the pivot is the row held by the fewest live columns, ties
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import MalformedInputError, PreconditionError
 from .ideals import FieldSpec
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, face_meets
 
 
 class SparseMatrix(NamedTuple(
@@ -50,15 +51,9 @@ class HomologyVector(NamedTuple):
 
 def _faces_by_size(masks: list[int]) -> list[list[int]]:
     """Every face of the complex with these facet masks, as masks, listed by
-    vertex count; entry 0 is [0], the empty face."""
-    seen = set()
-    for m in masks:
-        sub = m
-        while sub:
-            seen.add(sub)
-            sub = (sub - 1) & m
-    by_size: list[list[int]] = [[0]] + [[] for _ in range(max(m.bit_count() for m in masks))]
-    for f in sorted(seen):
+    vertex count, then by value; entry 0 is [0], the empty face."""
+    by_size: list[list[int]] = [[] for _ in range(max(m.bit_count() for m in masks) + 1)]
+    for f in sorted(face_meets(masks)):
         by_size[f.bit_count()].append(f)
     return by_size
 
@@ -85,12 +80,12 @@ def boundary_matrix(cx: SimplicialComplex, i: int) -> SparseMatrix:
     """The reduced boundary map from i-faces to (i-1)-faces.
 
     The empty face is the sole (-1)-face, so the degree-0 map is the
-    augmentation row of ones.  Rows and columns follow the order of
-    `all_faces`.
+    augmentation row of ones.  Rows and columns list the faces by size,
+    then lexicographic.
     """
     if not -1 <= i <= cx.dim:
         raise PreconditionError(f"boundary degree {i} out of range")
-    by_size = _faces_by_size([sum(1 << v for v in f) for f in cx.facets])
+    by_size = _faces_by_size(cx.masks)
     for faces in by_size:
         faces.sort(key=lambda f: [v for v in range(f.bit_length()) if f >> v & 1])
     return _boundary(by_size, i + 1)
@@ -261,4 +256,4 @@ def _mask_homology(masks: list[int], field: FieldSpec) -> HomologyVector:
 
 def reduced_homology(cx: SimplicialComplex, field: FieldSpec) -> HomologyVector:
     """dim_K of reduced homology in every degree -1..dim."""
-    return _mask_homology([sum(1 << v for v in f) for f in cx.facets], field)
+    return _mask_homology(cx.masks, field)

@@ -15,10 +15,11 @@ import random
 import sys
 from time import perf_counter
 
-from maxdepth.complexes import all_faces
 from maxdepth.ideals import F2, FieldSpec, QQ
 from maxdepth.linalg import SparseMatrix, rank, reduced_homology
 from maxdepth.random_instances import random_complex
+
+from faces_oracle import all_faces
 
 FIELDS = (QQ, F2, FieldSpec(3))
 

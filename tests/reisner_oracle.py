@@ -5,9 +5,11 @@ face at a time: the independent oracle for the face scan in
 These were the engine's own routes before cone links were skipped and both
 answers were read off the cached Hochster tables.
 """
-from maxdepth.complexes import all_faces, from_squarefree_ideal, link, pure_skeleton
+from maxdepth.complexes import from_squarefree_ideal, link, pure_skeleton
 from maxdepth.invariants import complex_table
 from maxdepth.linalg import reduced_homology
+
+from faces_oracle import all_faces
 
 
 def table_by_all_faces(cx, field):

@@ -24,7 +24,6 @@ from maxdepth.ideals import (
 )
 from maxdepth.complexes import (
     SimplicialComplex,
-    all_faces,
     cone_vertices,
     cycle_edge_ideal,
     from_squarefree_ideal,
@@ -47,6 +46,7 @@ from maxdepth.filtration import (
 from maxdepth.random_instances import random_complex
 from maxdepth.regress import C8_PRIMES, c8_ideal, two_planes_ideal
 
+from faces_oracle import all_faces
 from rank_oracle import dense
 
 RP2 = SimplicialComplex(

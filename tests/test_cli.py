@@ -44,6 +44,10 @@ class TestAnalyze:
         assert doc["depth"] == 1 and doc["generalized_cm"] is True
         assert doc["h_table"][1]["k_dim"] == 1
 
+    def test_bare_two_digit_variables(self, capsys):
+        doc = run_json(capsys, "analyze", "--gens=x10,x11")
+        assert doc["ass"] == [["x10", "x11"]] and doc["depth"] == 9
+
     def test_field_flag(self, capsys, tmp_path):
         facets = [
             [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 2, 6], [1, 5, 6],

@@ -22,10 +22,10 @@ from maxdepth.ideals import (
 )
 from maxdepth.complexes import (
     SimplicialComplex,
-    all_faces,
     complex_from_json,
     cone_vertices,
     cycle_edge_ideal,
+    face_meets,
     facet_subcomplex_min_dim,
     from_squarefree_ideal,
     link,
@@ -38,6 +38,7 @@ from maxdepth.random_instances import random_complex
 from maxdepth.regress import C8_PRIMES
 
 from colon_oracle import colon_search_ass
+from faces_oracle import all_faces
 
 HOLLOW_TRIANGLE = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
 
@@ -188,6 +189,23 @@ class TestSkeletonsAndSubcomplexes:
         a = set(all_faces(facet_subcomplex_min_dim(cx, i)))
         b = set(all_faces(facet_subcomplex_min_dim(cx, i + 1)))
         assert b <= a
+
+
+class TestFaceMeets:
+    @given(complexes)
+    @settings(max_examples=60)
+    def test_every_face_to_the_meet_of_its_facets(self, cx):
+        want = {}
+        for s in all_faces(cx):
+            meet = set.intersection(*(set(f) for f in cx.facets if set(s) <= set(f)))
+            want[sum(1 << v for v in s)] = sum(1 << v for v in meet)
+        assert face_meets(cx.masks) == want
+
+    def test_minimal_complex(self):
+        assert face_meets(SimplicialComplex(2, ((),)).masks) == {0: 0}
+
+    def test_no_facets_no_faces(self):
+        assert face_meets([]) == {}
 
 
 class TestConeVertices:

@@ -514,6 +514,12 @@ class TestParsing:
     def test_strict_and_convenience_agree(self):
         assert parse_generators("x1*x2,x2*x3") == parse_generators("x1x2,x2x3")
 
+    def test_bare_two_digit_index(self):
+        # a lone factor is one variable; only x1x2 reads single-digit indices
+        I = parse_generators("x10,x11")
+        assert I.ring.n == 11 and I == parse_generators("x10^1,x11^1")
+        assert parse_generators("x1x2") == parse_generators("x1*x2")
+
     def test_exponents(self):
         I = parse_generators("x1^2*x2")
         assert I.gens == (Monomial((2, 1)),)

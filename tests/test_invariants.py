@@ -24,7 +24,6 @@ from maxdepth.ideals import (
 )
 from maxdepth.complexes import (
     SimplicialComplex,
-    all_faces,
     cycle_edge_ideal,
     from_squarefree_ideal,
     pure_skeleton,
@@ -39,6 +38,7 @@ from maxdepth.invariants import (
 )
 from maxdepth.regress import c8_ideal, two_planes_ideal
 
+from faces_oracle import all_faces
 from reisner_oracle import table_by_all_faces
 
 RP2 = SimplicialComplex(
@@ -323,3 +323,19 @@ class TestComplexTable:
             for field in (QQ, F2, FieldSpec(3)):
                 got = tuple(d.contributions for d in complex_table(cx, field).degrees)
                 assert got == table_by_all_faces(cx, field), (cx, field)
+
+    def test_cone_skip_matches_all_faces_scan_polarized(self, pool_mixed):
+        # the polarized complexes of the size the `polarized` benchmark feeds
+        pairs = {(from_squarefree_ideal(J), J.ring.field_spec)
+                 for J in (polarize(I).ideal for I in pool_mixed) if J.ring.n <= 10}
+        assert len(pairs) > 100
+        for cx, field in sorted(pairs, key=lambda p: (p[0].n, p[0].facets, p[1])):
+            got = tuple(d.contributions for d in complex_table(cx, field).degrees)
+            assert got == table_by_all_faces(cx, field), (cx, field)
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_cone_skip_matches_all_faces_scan_cycles(self, n):
+        cx = from_squarefree_ideal(cycle_edge_ideal(n))
+        for field in (QQ, F2):
+            got = tuple(d.contributions for d in complex_table(cx, field).degrees)
+            assert got == table_by_all_faces(cx, field), (n, field)

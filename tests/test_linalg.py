@@ -10,13 +10,13 @@ from maxdepth.ideals import F2, FieldSpec, QQ
 from maxdepth import linalg
 from maxdepth.complexes import (
     SimplicialComplex,
-    all_faces,
     cycle_edge_ideal,
     from_squarefree_ideal,
     link,
 )
 from maxdepth.linalg import SparseMatrix, _strong_core, boundary_matrix, rank, reduced_homology
 from maxdepth.random_instances import random_complex
+from faces_oracle import all_faces
 from homology_oracle import FIELDS, full_homology, pool
 from rank_oracle import dense, rank_modp
 
@@ -135,7 +135,7 @@ class TestBoundaryMatrix:
             boundary_matrix(HOLLOW_TRIANGLE, 3)
 
     def test_faces_in_all_faces_order(self):
-        # rows and columns list the faces of each size as `all_faces` does
+        # rows and columns list the faces by size, then lexicographic
         cx = SimplicialComplex(5, ((0, 1, 2, 3), (0, 4), (1, 4)))
         for i in (1, 2):
             tops = [f for f in all_faces(cx) if len(f) == i + 1]
@@ -272,6 +272,17 @@ class TestReducedHomology:
             cx.n + 1, tuple(f + (apex,) for f in cx.facets)
         )
         assert not reduced_homology(cone, field).dims
+
+
+class TestFacesBySize:
+    def test_every_face_once(self):
+        # a second empty face would shift every homology rank
+        for cx in (SimplicialComplex(2, ((),)), HOLLOW_TRIANGLE, RP2, MOBIUS, *pool(0, 200)):
+            by_size = linalg._faces_by_size(cx.masks)
+            assert all(f.bit_count() == k for k, faces in enumerate(by_size) for f in faces)
+            listed = [tuple(v for v in range(f.bit_length()) if f >> v & 1)
+                      for faces in by_size for f in faces]
+            assert sorted(listed, key=lambda f: (len(f), f)) == list(all_faces(cx)), cx
 
 
 class TestStrongCore:
