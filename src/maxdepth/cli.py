@@ -98,7 +98,7 @@ def filtration_json(f: DimensionFiltration) -> dict:
     return {"t": f.t, "levels": levels}
 
 
-def seqcm_json(res: SeqCMResult, I: MonomialIdeal) -> dict:
+def seqcm_json(res: SeqCMResult) -> dict:
     out = {"sequentially_cm": res.status}
     if res.status == "false":
         out["witness"] = {
@@ -112,7 +112,6 @@ def seqcm_json(res: SeqCMResult, I: MonomialIdeal) -> dict:
 def att_json(rep: AttReport, I: MonomialIdeal) -> dict:
     rng = I.ring
     return {
-        "notes": list(rep.notes),
         "claims": [
             {
                 "degree": c.degree,
@@ -223,12 +222,12 @@ def _read_file(path: str) -> str:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
 
 
-def _add_input_flags(sp, which: str = "", dest_suffix: str = ""):
-    sp.add_argument(f"--gens{which}", dest=f"gens{dest_suffix}")
-    sp.add_argument(f"--edges{which}", dest=f"edges{dest_suffix}")
-    sp.add_argument(f"--ideal-json{which}", dest=f"ideal_json{dest_suffix}")
-    sp.add_argument(f"--facets-json{which}", dest=f"facets_json{dest_suffix}")
-    sp.add_argument(f"--nvars{which}", dest=f"nvars{dest_suffix}", type=int)
+def _add_input_flags(sp, which: str = ""):
+    sp.add_argument(f"--gens{which}", dest=f"gens{which}")
+    sp.add_argument(f"--edges{which}", dest=f"edges{which}")
+    sp.add_argument(f"--ideal-json{which}", dest=f"ideal_json{which}")
+    sp.add_argument(f"--facets-json{which}", dest=f"facets_json{which}")
+    sp.add_argument(f"--nvars{which}", dest=f"nvars{which}", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tensor")
     _add_input_flags(sp)
-    _add_input_flags(sp, which="2", dest_suffix="2")
+    _add_input_flags(sp, which="2")
 
     sp = sub.add_parser("directsum")
     sp.add_argument("--gens", action="append", required=True)
@@ -300,7 +299,7 @@ def _dispatch(args) -> tuple[int, str]:
         return 0, _render(filtration_json(dimension_filtration(I)), fmt)
     if cmd == "seqcm":
         I = _load_ideal(args, field)
-        return 0, _render(seqcm_json(is_sequentially_cm(I), I), fmt)
+        return 0, _render(seqcm_json(is_sequentially_cm(I)), fmt)
     if cmd == "att":
         I = _load_ideal(args, field)
         return 0, _render(att_json(att_report(I), I), fmt)

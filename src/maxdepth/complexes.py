@@ -151,8 +151,7 @@ def pure_skeleton(cx: SimplicialComplex, i: int) -> SimplicialComplex:
 
 def facet_subcomplex_min_dim(cx: SimplicialComplex, i: int) -> SimplicialComplex:
     """Subcomplex generated by facets with more than i vertices."""
-    kept = tuple(f for f in cx.facets if len(f) > i)
-    return SimplicialComplex(cx.n, kept if kept else ((),))
+    return SimplicialComplex(cx.n, tuple(f for f in cx.facets if len(f) > i))
 
 
 def cone_vertices(cx: SimplicialComplex) -> tuple[int, ...]:

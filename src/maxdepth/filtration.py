@@ -12,8 +12,8 @@ from .ideals import (
     Monomial,
     MonomialIdeal,
     PrimeSupport,
+    associated_primes,
     irreducible_covers,
-    minimal_primes_of,
     unit_ideal,
 )
 from .complexes import (
@@ -228,52 +228,37 @@ def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
 # ---------------------------------------------------------------------------
 # attached primes
 
-ATT_NOTES = (
-    "depth-min-att assumes every prime in Supp(M) contains a depth-witness "
-    "associated prime; the existential reading of that hypothesis is NOT used.",
-    "for squarefree ideals the depth-min-att hypothesis collapses to the "
-    "Cohen-Macaulay case, so it is mostly informative on ideals with "
-    "embedded primes.",
-)
-
-
 class AttClaim(NamedTuple):
     degree: int
-    kind: str  # "full" | "min-att" | "lower-bound"
+    kind: str  # "full" | "lower-bound"
     tag: str  # justification
     primes: tuple[PrimeSupport, ...]
 
 
 class AttReport(NamedTuple):
     claims: tuple[AttClaim, ...]
-    notes: tuple[str, ...] = ATT_NOTES
 
 
 def att_report(I: MonomialIdeal) -> AttReport:
     """Attached primes of the local cohomology modules, degree by degree.
 
-    Claims carry their justification: the top degree equals Assh, the
-    sequentially CM case pins every degree to the level sets, the depth
-    degree reports min-Att = Assd when the Supp hypothesis verifies, and
-    everything else is a lower bound from associated primes.
+    Each claim lists Ass^i, the associated primes p with dim R/p = i, all
+    attached to H^i.  That is all of Att H^i when M is sequentially CM, and
+    at the top degree, where Att = Assh; anywhere else it is a lower bound.
+    The seqCM verdict is asked first, so on squarefree input the vertex cap
+    is checked before the search cap.
     """
-    prof = profile(I)
-    f = dimension_filtration(I)
     seq = is_sequentially_cm(I)
     rng = I.ring
-    assh = tuple(p for p in prof.ass if p.dim_in(rng) == prof.dim)
-    hypothesis = bool(prof.assd) and all(
-        any(p.contains(q) for q in prof.assd) for p in sorted(minimal_primes_of(I))
-    )
+    ass = sorted(associated_primes(I))
+    dim = max(p.dim_in(rng) for p in ass)
     claims = []
-    for i in range(prof.dim + 1):
-        ass_i = f.level(i).ass_level
+    for i in range(dim + 1):
+        ass_i = tuple(p for p in ass if p.dim_in(rng) == i)
         if seq.status == "true":
             claims.append(AttClaim(i, "full", "seqcm-level", ass_i))
-        elif i == prof.dim:
-            claims.append(AttClaim(i, "full", "top-assh", assh))
-        elif i == prof.depth and hypothesis:
-            claims.append(AttClaim(i, "min-att", "depth-min-att (hypothesis verified)", prof.assd))
+        elif i == dim:
+            claims.append(AttClaim(i, "full", "top-assh", ass_i))
         else:
             claims.append(AttClaim(i, "lower-bound", "lower-bound-only", ass_i))
     return AttReport(tuple(claims))

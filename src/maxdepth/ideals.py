@@ -38,9 +38,12 @@ def limited(**caps):
     """Run the block with the named caps replaced; the previous limits return
     when it exits, also by an exception."""
     try:
-        token = _limits.set(_limits.get()._replace(**caps))
+        new = _limits.get()._replace(**caps)
     except ValueError as exc:  # a name that is not a cap
         raise TypeError(exc) from None
+    if min(new) < 0:
+        raise MalformedInputError(f"caps must be non-negative, got {new}")
+    token = _limits.set(new)
     try:
         yield
     finally:
@@ -344,14 +347,6 @@ def associated_primes(I: MonomialIdeal) -> frozenset[PrimeSupport]:
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")
     return frozenset(PrimeSupport.of(i for i, _ in c) for c in irreducible_covers(I))
-
-
-def minimal_primes_of(I: MonomialIdeal) -> frozenset[PrimeSupport]:
-    """Inclusion-minimal members of Ass(S/I)."""
-    ass = associated_primes(I)
-    return frozenset(
-        p for p in ass if not any(q != p and p.contains(q) for q in ass)
-    )
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:

@@ -183,8 +183,6 @@ def _upper_koszul(I: MonomialIdeal, b: Monomial) -> SimplicialComplex:
             exps[v] -= 1
         if I.contains(Monomial(tuple(exps))):
             faces.append(s)
-    if not faces:
-        return SimplicialComplex(n, ((),))
     return SimplicialComplex(n, tuple(faces))
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from maxdepth.complexes import SimplicialComplex, to_ideal
-from maxdepth.ideals import F2, QQ, Monomial, MonomialIdeal, ring
+from maxdepth.ideals import F2, QQ, Monomial, MonomialIdeal, associated_primes, ring
 from maxdepth.random_instances import random_complex
 
 POOL_SEED = 20260824
@@ -22,6 +22,12 @@ def random_monomial_ideal(rng, n, max_gens=4, max_exp=3, field=QQ):
     if not gens:
         gens.append(Monomial(tuple([1] + [0] * (n - 1))))
     return MonomialIdeal(ring(n, field), tuple(gens))
+
+
+def minimal_primes_of(I):
+    """Inclusion-minimal members of Ass(S/I)."""
+    ass = associated_primes(I)
+    return frozenset(p for p in ass if not any(q != p and p.contains(q) for q in ass))
 
 
 @pytest.fixture(scope="session")

@@ -95,7 +95,7 @@ class TestOtherCommands:
             ["x1", "x3", "x5", "x7"],
             ["x2", "x4", "x6", "x8"],
         ]
-        assert doc["notes"]
+        assert "notes" not in doc
 
     def test_psupp(self, capsys):
         doc = run_json(capsys, "psupp", C8, "--degree=3")
@@ -157,6 +157,23 @@ class TestExitCodes:
         c12 = "--edges=n=12; edges=" + ",".join(f"{i}-{i % 12 + 1}" for i in range(1, 13))
         code, out, err = run_cli(capsys, "--search-cap=50", "analyze", c12)
         assert code == 3 and "transversal search visited more than 50 nodes" in err, err
+
+    def test_negative_search_cap_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "--search-cap=-1", "analyze", "--gens=x1")
+        assert code == 2 and "error kind=malformed-input" in err, err
+
+    def test_negative_vertex_cap_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "--max-vertices=-1", "analyze", "--gens=x1")
+        assert code == 2 and "error kind=malformed-input" in err, err
+
+    def test_non_squarefree_att_skips_the_vertex_cap(self, capsys):
+        # the report reads Ass and the seqCM verdict, never the polarized
+        # complex (14 vertices here), so the vertex cap does not apply
+        gens = "--gens=x1^3*x4^3,x2^3*x4^3*x5^2,x2^3*x3^2*x4^2*x5,x1^2*x2*x3^3*x4*x5^2"
+        code, out, err = run_cli(capsys, "--max-vertices=5", "att", gens)
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "--max-vertices=5", "analyze", gens)
+        assert code == 3 and "14 vertices exceeds cap 5" in err, err
 
     def test_precondition_is_4(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--gens=x1,x2", "--nvars=2")

@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from maxdepth.errors import SquarefreeRequiredError, UndefinedModuleError
 from maxdepth.ideals import (
+    F2,
+    QQ,
     Monomial,
     MonomialIdeal,
     PrimeSupport,
@@ -14,11 +16,10 @@ from maxdepth.ideals import (
     ring,
     unit_ideal,
 )
-from maxdepth import ideals
+from maxdepth import filtration, ideals, invariants
 from maxdepth.complexes import cycle_edge_ideal
 from maxdepth.invariants import profile
 from maxdepth.filtration import (
-    ATT_NOTES,
     ProbeConfig,
     ass_of_submodule,
     att_report,
@@ -32,6 +33,7 @@ from maxdepth.filtration import (
 from maxdepth.regress import C8_PRIMES, c8_ideal, two_planes_ideal
 
 from colon_oracle import colon_search_ass
+from conftest import minimal_primes_of
 from reisner_oracle import psupp_by_link_tables, seqcm_by_rescan
 
 
@@ -184,7 +186,7 @@ class TestLevelsMatchIntersection:
         self.assert_levels_match(I)
 
     def test_width_edge_ideals_have_embedded_components(self):
-        embedded = [I for I in WIDTH_EDGE_IDEALS if associated_primes(I) != ideals.minimal_primes_of(I)]
+        embedded = [I for I in WIDTH_EDGE_IDEALS if associated_primes(I) != minimal_primes_of(I)]
         assert len(embedded) >= 6
 
     def test_levels_without_pairwise_intersection(self, monkeypatch):
@@ -328,6 +330,9 @@ class TestSharedCoverSearch:
         assert ideals._tight_covers.cache_info().misses - searches == 1
 
 
+FOUND_GENS = "x1^3*x4^3,x2^3*x4^3*x5^2,x2^3*x3^2*x4^2*x5,x1^2*x2*x3^3*x4*x5^2"
+
+
 class TestAttReport:
     def test_c8_top_claim(self):
         rep = att_report(c8_ideal())
@@ -339,7 +344,7 @@ class TestAttReport:
         rep = att_report(c8_ideal())
         ass = set(associated_primes(c8_ideal()))
         for claim in rep.claims[:4]:
-            assert claim.kind in ("lower-bound", "min-att")
+            assert claim.kind == "lower-bound"
             assert set(claim.primes) <= ass
 
     def test_seqcm_case_is_fully_determined(self):
@@ -351,13 +356,10 @@ class TestAttReport:
             assert claim.primes == f.level(claim.degree).ass_level
 
     def test_depth_min_att_on_embedded_example(self):
-        # Ass = {(x), (x,y)}, Assd = {(x,y)}, and the only minimal prime (x)
-        # does not contain (x,y): the hypothesis fails, lower bound only
+        # Ass = {(x), (x,y)} and Assd = {(x,y)}: the embedded prime is a
+        # lower bound at the depth, below the top degree
         rep = att_report(mk(2, (2, 0), (1, 1)))
-        assert rep.claims[0].kind in ("full", "lower-bound")
-
-    def test_notes_attached(self):
-        assert att_report(c8_ideal()).notes == ATT_NOTES
+        assert rep.claims[0] == (0, "lower-bound", "lower-bound-only", (PrimeSupport((0, 1)),))
 
     @given(small_ideals)
     @settings(max_examples=30, deadline=None)
@@ -373,6 +375,47 @@ class TestAttReport:
         assert set(top.primes) == {
             p for p in prof.ass if p.dim_in(I.ring) == prof.dim
         }
+
+    def test_claims_are_ass_levels(self, pool_mixed):
+        cases = list(pool_mixed)
+        for field in (QQ, F2):
+            cases += [cycle_edge_ideal(n, field) for n in range(3, 17)]
+            cases += [MonomialIdeal(ring(n, field), ()) for n in (1, 2, 3)]
+        for I in cases:
+            rng = I.ring
+            ass = associated_primes(I)
+            dim = max(p.dim_in(rng) for p in ass)
+            seqcm = is_sequentially_cm(I).status == "true"
+            rep = att_report(I)
+            assert [c.degree for c in rep.claims] == list(range(dim + 1)), I.format()
+            for c in rep.claims:
+                assert set(c.primes) == {p for p in ass if p.dim_in(rng) == c.degree}, I.format()
+                assert (c.kind == "full") == (seqcm or c.degree == dim), (I.format(), c)
+
+    @given(small_ideals)
+    @settings(max_examples=60, deadline=None)
+    def test_minimal_primes_in_assd_force_cohen_macaulay(self, I):
+        # every minimal prime of dimension depth makes dim = depth, so a
+        # claim "min Att = Assd" at the depth would always sit at the top
+        if I.is_unit:
+            return
+        prof = profile(I)
+        if minimal_primes_of(I) <= set(prof.assd):
+            assert prof.depth == prof.dim
+
+    def test_non_squarefree_reads_no_local_cohomology(self, monkeypatch, pool_mixed):
+        # Ass and the (undecided) seqCM verdict are all a non-squarefree
+        # report needs; the last ideal polarizes to 14 vertices
+        cases = [I for I in pool_mixed if not I.is_squarefree]
+        cases.append(parse_generators(FOUND_GENS))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("complex_table called")
+
+        monkeypatch.setattr(invariants, "complex_table", refuse)
+        monkeypatch.setattr(filtration, "complex_table", refuse)
+        for I in cases:
+            assert att_report(I).claims, I.format()
 
 
 class TestPsupp:

@@ -25,7 +25,6 @@ from maxdepth.ideals import (
     irreducible_decomposition,
     limited,
     limits,
-    minimal_primes_of,
     parse_generators,
     polarize,
     primary_decomposition,
@@ -53,7 +52,7 @@ from maxdepth.linalg import SparseMatrix, boundary_matrix, reduced_homology
 from maxdepth.regress import C8_PRIMES, c8_ideal
 
 from colon_oracle import colon, colon_search_ass
-from conftest import random_monomial_ideal
+from conftest import minimal_primes_of, random_monomial_ideal
 from cover_oracle import tight_minimal_covers
 
 
@@ -258,6 +257,16 @@ class TestLimits:
         with pytest.raises(TypeError), limited(bogus=1):
             pass
         assert limits() == Limits()
+
+    def test_negative_cap_is_malformed(self):
+        for caps in ({"search_cap": -1}, {"max_vertices": -1}, {"search_cap": 5, "max_vertices": -3}):
+            with pytest.raises(MalformedInputError), limited(**caps):
+                pass
+            assert limits() == Limits()
+        with pytest.raises(TypeError), limited(bogus=-1):
+            pass
+        with limited(search_cap=0, max_vertices=0):
+            assert limits() == Limits(0, 0)
 
 
 def public_records():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +38,10 @@ from maxdepth.invariants import (
     profile,
     projdim,
 )
+from maxdepth.random_instances import random_complex
 from maxdepth.regress import c8_ideal, two_planes_ideal
+
+from conftest import POOL_SEED
 
 from faces_oracle import all_faces
 from reisner_oracle import table_by_all_faces
@@ -127,6 +132,23 @@ class TestProfile:
         prof = profile(to_ideal(RP2))
         assert prof.cohen_macaulay
         assert prof.maximal_depth and prof.unmixed
+
+    def test_generalized_cm_with_maximal_depth_is_cm_or_depth_zero(self):
+        # a maximal-depth module of depth t > 0 has Assd attached to H^t, so
+        # H^t is not of finite length; squarefree only, since the flags of a
+        # polarized table are not yet those of S/I
+        rng = random.Random(POOL_SEED + 6)
+        not_cm = 0
+        for _ in range(2000):
+            n = rng.randint(2, 8)
+            cx = random_complex(rng, n)
+            for field in (QQ, F2):
+                prof = profile(to_ideal(cx, ring(n, field)))
+                if prof.generalized_cm:
+                    not_cm += not prof.cohen_macaulay
+                    if prof.maximal_depth:
+                        assert prof.cohen_macaulay or prof.depth == 0, (cx, field)
+        assert not_cm >= 10
 
     @given(small_ideals)
     @settings(max_examples=60, deadline=None)
