@@ -330,7 +330,7 @@ class TestSharedCoverSearch:
         assert ideals._tight_covers.cache_info().misses - searches == 1
 
 
-FOUND_GENS = "x1^3*x4^3,x2^3*x4^3*x5^2,x2^3*x3^2*x4^2*x5,x1^2*x2*x3^3*x4*x5^2"
+POLARIZED_14_GENS = "x1^3*x4^3,x2^3*x4^3*x5^2,x2^3*x3^2*x4^2*x5,x1^2*x2*x3^3*x4*x5^2"
 
 
 class TestAttReport:
@@ -395,8 +395,9 @@ class TestAttReport:
     @given(small_ideals)
     @settings(max_examples=60, deadline=None)
     def test_minimal_primes_in_assd_force_cohen_macaulay(self, I):
-        # every minimal prime of dimension depth makes dim = depth, so a
-        # claim "min Att = Assd" at the depth would always sit at the top
+        # dim is the largest dim R/p over the minimal primes, so with all of
+        # them in Assd it equals depth: a min-Att claim at the depth under
+        # that hypothesis would only ever sit at the top degree
         if I.is_unit:
             return
         prof = profile(I)
@@ -407,7 +408,7 @@ class TestAttReport:
         # Ass and the (undecided) seqCM verdict are all a non-squarefree
         # report needs; the last ideal polarizes to 14 vertices
         cases = [I for I in pool_mixed if not I.is_squarefree]
-        cases.append(parse_generators(FOUND_GENS))
+        cases.append(parse_generators(POLARIZED_14_GENS))
 
         def refuse(*args, **kwargs):
             raise AssertionError("complex_table called")

@@ -42,7 +42,6 @@ from maxdepth.random_instances import random_complex
 from maxdepth.regress import c8_ideal, two_planes_ideal
 
 from conftest import POOL_SEED
-
 from faces_oracle import all_faces
 from reisner_oracle import table_by_all_faces
 
