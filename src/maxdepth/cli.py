@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("localize")
     _add_input_flags(sp)
-    sp.add_argument("--face", required=True, help="comma-separated 1-based vertices; empty for the empty face")
+    sp.add_argument("--face", required=True, help="comma-separated 1-based variables F, "
+                    "localizing at P_F = (x_j : j not in F); empty for the maximal ideal")
 
     sp = sub.add_parser("tensor")
     _add_input_flags(sp)

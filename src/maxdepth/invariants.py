@@ -15,7 +15,6 @@ from .errors import (
     InternalCheckError,
     NotInSupportError,
     PreconditionError,
-    SquarefreeRequiredError,
     UndefinedModuleError,
 )
 from .ideals import (
@@ -26,14 +25,13 @@ from .ideals import (
     RingDescriptor,
     associated_primes,
     polarize,
+    variable,
 )
 from .complexes import (
     SimplicialComplex,
     face_meets,
     face_tuples,
     from_squarefree_ideal,
-    link,
-    to_ideal,
 )
 from .linalg import _mask_homology, reduced_homology
 
@@ -221,24 +219,22 @@ class LocalizationProfile(NamedTuple):
 
 
 def localization_profile(I: MonomialIdeal, face) -> LocalizationProfile:
-    """Profile of k[link F], standing for the localization at the face prime.
-
-    Guarded by two always-on oracles: the depth inequality over the face,
-    and depth additivity whenever the face prime contains a depth-witness
-    associated prime.
+    """Profile of S/(I_F + (x_j : j in F)), I_F setting x_j = 1 for j in F:
+    the localization at P_F = (x_j : j not in F), in the same ring; for
+    squarefree I, the ideal of link F.  Guarded by two always-on oracles:
+    the depth inequality over the face, and depth additivity whenever P_F
+    contains a depth-witness associated prime.
     """
-    if not I.is_squarefree:
-        raise SquarefreeRequiredError("localization at face primes needs a squarefree ideal")
-    cx = from_squarefree_ideal(I)
     face = tuple(sorted(set(face)))
-    if not cx.is_face(face):
-        raise NotInSupportError(f"{face} is not a face; its prime is outside Supp")
-    local = profile(to_ideal(link(cx, face), I.ring))
     glob = profile(I)
+    gens = [Monomial(tuple(0 if j in face else e for j, e in enumerate(g.exponents)))
+            for g in I.gens]
+    if any(not 0 <= v < I.ring.n for v in face) or any(g.is_one for g in gens):
+        raise NotInSupportError(f"{face} is not a face; its prime is outside Supp")
+    local = profile(MonomialIdeal(I.ring, tuple(gens + [variable(I.ring, v) for v in face])))
     if glob.depth > local.depth + len(face):
         raise InternalCheckError("depth inequality failed at a face prime")
-    p_face = PrimeSupport.of(set(range(I.ring.n)) - set(face))
-    if any(p_face.contains(q) for q in glob.assd):
+    if any(set(q.vars).isdisjoint(face) for q in glob.assd):  # P_F contains q
         if glob.depth != local.depth + len(face) or not local.maximal_depth:
             raise InternalCheckError("localization equality failed under the Assd hypothesis")
     return LocalizationProfile(face, len(face), local)

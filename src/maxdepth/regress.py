@@ -25,7 +25,7 @@ from .complexes import (
     from_squarefree_ideal,
     to_ideal,
 )
-from .invariants import profile, projdim
+from .invariants import localization_profile, profile, projdim
 from .filtration import (
     att_report,
     dimension_filtration,
@@ -170,6 +170,11 @@ def _checks():
     polm = polarize(mixed)
     yield "polarization depth shift on (x1^2, x1*x2)", (
         profile(polm.ideal).depth - polm.added_vars == profile(mixed).depth == 0
+    )
+    m3 = profile(parse_generators("x1^2,x1*x2", nvars=3))
+    loc = localization_profile(m3.ideal, (2,)).profile
+    yield "(x1^2, x1*x2) localized at (x1, x2): depth 1 = 0 + |F|, maximal depth kept", (
+        m3.depth == loc.depth + 1 == 1 and m3.maximal_depth and loc.maximal_depth
     )
 
     yield "Stanley-Reisner roundtrip on C8", (

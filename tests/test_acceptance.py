@@ -3,6 +3,7 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines; every criterion is also a hard assertion.
 """
+import itertools
 import json
 import random
 import time
@@ -108,7 +109,7 @@ def test_criterion_3_cycle_family():
     report("3 cycle family sequential-CM verdicts", got == expect)
 
 
-def test_criterion_4_property_suites(pool_main, pool_small, pool_pairs):
+def test_criterion_4_property_suites(pool_main, pool_small, pool_pairs, pool_mixed):
     violations = []
 
     # a. the two depth routes agree
@@ -177,6 +178,26 @@ def test_criterion_4_property_suites(pool_main, pool_small, pool_pairs):
             loc = localization_profile(I, face)
             if glob.depth > loc.profile.depth + len(face):
                 violations.append(("e", (I, face)))
+    # ... and at every monomial prime P_F in Supp of the mostly non-squarefree
+    # pool, where I_F, setting x_F = 1, is proper; some cases must reach the
+    # equality hypothesis with depth > 0 and F nonempty
+    under_hypothesis = 0
+    for I in pool_mixed[:100]:
+        n = I.ring.n
+        glob = profile(I)
+        for k in range(n + 1):
+            for face in itertools.combinations(range(n), k):
+                if any(set(g.support) <= set(face) for g in I.gens):
+                    continue
+                loc = localization_profile(I, face).profile
+                if glob.depth > loc.depth + k:
+                    violations.append(("e-mixed", (I, face)))
+                p_face = PrimeSupport.of(set(range(n)) - set(face))
+                if any(p_face.contains(q) for q in glob.assd):
+                    if glob.depth != loc.depth + k or not loc.maximal_depth:
+                        violations.append(("e-mixed-equality", (I, face)))
+                    under_hypothesis += glob.depth > 0 and k > 0
+    assert under_hypothesis > 0
 
     # f. maximal depth with depth > 0 forces infinite length at the depth
     #    degree; on generalized CM instances with depth > 0 maximal depth

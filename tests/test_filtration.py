@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +19,8 @@ from maxdepth.ideals import (
     unit_ideal,
 )
 from maxdepth import filtration, ideals, invariants
-from maxdepth.complexes import cycle_edge_ideal
-from maxdepth.invariants import profile
+from maxdepth.complexes import cycle_edge_ideal, to_ideal
+from maxdepth.invariants import localization_profile, profile
 from maxdepth.filtration import (
     ProbeConfig,
     ass_of_submodule,
@@ -30,10 +32,12 @@ from maxdepth.filtration import (
     psupp_monomial,
     quotient_depth_intervals,
 )
+from maxdepth.random_instances import random_complex
 from maxdepth.regress import C8_PRIMES, c8_ideal, two_planes_ideal
 
 from colon_oracle import colon_search_ass
-from conftest import minimal_primes_of
+from conftest import POOL_SEED, minimal_primes_of
+from faces_oracle import all_faces
 from reisner_oracle import psupp_by_link_tables, seqcm_by_rescan
 
 
@@ -440,6 +444,22 @@ class TestPsupp:
         for I in pool_low_dim:
             for i in range(-1, I.ring.n + 2):
                 assert psupp_monomial(I, i).faces == psupp_by_link_tables(I, i), (I.format(), i)
+
+    def test_matches_localization(self):
+        # P_F is in Psupp^i exactly when the localization at P_F has
+        # H^{i-|F|} nonzero
+        rng = random.Random(POOL_SEED + 6)
+        for k in range(200):
+            n = rng.randint(3, 6)
+            cx = random_complex(rng, n)
+            I = to_ideal(cx, ring(n, (QQ, F2)[k % 2]))
+            local = {F: localization_profile(I, F).profile.hochster for F in all_faces(cx)}
+            for i in range(-1, n + 2):
+                expect = tuple(
+                    face for face, t in local.items()
+                    if 0 <= i - len(face) < len(t.degrees) and t.at(i - len(face)).nonzero
+                )
+                assert psupp_monomial(I, i).faces == expect, (I.format(), i)
 
 
 class TestProbe:

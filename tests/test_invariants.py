@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from maxdepth.errors import (
     NotInSupportError,
     PreconditionError,
-    SquarefreeRequiredError,
     UndefinedModuleError,
 )
 from maxdepth.ideals import (
@@ -28,6 +28,7 @@ from maxdepth.complexes import (
     SimplicialComplex,
     cycle_edge_ideal,
     from_squarefree_ideal,
+    link,
     pure_skeleton,
     to_ideal,
 )
@@ -266,9 +267,49 @@ class TestLocalization:
         with pytest.raises(NotInSupportError):
             localization_profile(c8_ideal(), (0, 1))
 
-    def test_non_squarefree_rejected(self):
-        with pytest.raises(SquarefreeRequiredError):
-            localization_profile(parse_generators("x1^2", nvars=2), ())
+    def test_matches_the_link_on_every_face(self, pool_small, pool_low_dim):
+        # oracle: the ideal of link F, built through the Alexander dual
+        for I in pool_small + pool_low_dim:
+            cx = from_squarefree_ideal(I)
+            for face in all_faces(cx):
+                expect = profile(to_ideal(link(cx, face), I.ring))
+                assert localization_profile(I, face).profile == expect, (I.format(), face)
+
+    def test_non_squarefree_matches_the_polarized_link(self, pool_mixed):
+        # F lifts to the polarization vertices F' of its variables; the link
+        # of F' keeps the rho_j - 1 added vertices of each x_j outside F, and
+        # they shift depth and dim up by their count
+        checked = 0
+        for I in pool_mixed[:100]:
+            n = I.ring.n
+            pol = polarize(I)
+            cx = from_squarefree_ideal(pol.ideal)
+            for k in range(n + 1):
+                for face in itertools.combinations(range(n), k):
+                    if any(set(g.support) <= set(face) for g in I.gens):
+                        continue  # I_F is the unit ideal
+                    lifted = tuple(v for v, j in enumerate(pol.slot_owner) if j in face)
+                    shift = sum(j not in face for j in pol.slot_owner) - (n - k)
+                    expect = profile(to_ideal(link(cx, lifted), pol.ideal.ring))
+                    loc = localization_profile(I, face).profile
+                    assert (loc.depth, loc.dim) == (expect.depth - shift, expect.dim - shift), (
+                        I.format(), face,
+                    )
+                    checked += not I.is_squarefree
+        assert checked > 500
+
+    def test_non_squarefree_worked_case(self):
+        # (x1^2, x1*x2) at P_F = (x1, x2), F = {x3}: the local module is
+        # S/(x1^2, x1*x2, x3), of depth 0 and dimension 1
+        I = parse_generators("x1^2,x1*x2", nvars=3)
+        loc = localization_profile(I, (2,))
+        assert (loc.profile.depth, loc.profile.dim, loc.profile.maximal_depth) == (0, 1, True)
+        assert profile(I).depth == 1 == loc.profile.depth + len(loc.face)
+
+    def test_generator_inside_the_face_is_outside_supp(self):
+        # x1 = 1 turns x1^2 into 1: the localization at (x2) is zero
+        with pytest.raises(NotInSupportError):
+            localization_profile(parse_generators("x1^2", nvars=2), (0,))
 
 
 class TestDirectSum:
