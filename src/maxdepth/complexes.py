@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import re
+from functools import reduce
+from operator import and_
 from typing import NamedTuple
 
 from .errors import (
@@ -57,10 +59,6 @@ class SimplicialComplex(NamedTuple(
     @property
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1
-
-    def is_face(self, face) -> bool:
-        s = set(face)
-        return any(s <= set(f) for f in self.facets)
 
     @property
     def masks(self) -> list[int]:
@@ -133,11 +131,9 @@ def to_ideal(
 def link(cx: SimplicialComplex, face) -> SimplicialComplex:
     """Faces disjoint from `face` whose union with it is still a face."""
     s = set(face)
-    if not cx.is_face(s):
+    new_facets = [tuple(sorted(set(f) - s)) for f in cx.facets if s <= set(f)]
+    if not new_facets:
         raise NotInSupportError(f"{tuple(sorted(s))} is not a face")
-    new_facets = [
-        tuple(sorted(set(f) - s)) for f in cx.facets if s <= set(f)
-    ]
     return SimplicialComplex(cx.n, tuple(new_facets))
 
 
@@ -156,10 +152,8 @@ def facet_subcomplex_min_dim(cx: SimplicialComplex, i: int) -> SimplicialComplex
 
 def cone_vertices(cx: SimplicialComplex) -> tuple[int, ...]:
     """Vertices lying in every facet."""
-    common = set(cx.facets[0])
-    for f in cx.facets[1:]:
-        common &= set(f)
-    return tuple(sorted(common))
+    common = reduce(and_, cx.masks)
+    return tuple(v for v in range(common.bit_length()) if common >> v & 1)
 
 
 # ---------------------------------------------------------------------------

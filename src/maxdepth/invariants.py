@@ -29,6 +29,7 @@ from .ideals import (
 )
 from .complexes import (
     SimplicialComplex,
+    cone_vertices,
     face_meets,
     face_tuples,
     from_squarefree_ideal,
@@ -80,18 +81,20 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
     Degree i collects dim H~_{i-|s|-1}(link s) over all faces s; finite
     length at i means only the empty face contributes there.
 
-    Only the faces equal to their meet in `face_meets`, the intersection
-    of the facets that hold them, are scanned, by size, then
-    lexicographic.  Any other face s has a vertex outside s in every facet
-    through s, so link s is a cone over that vertex and has no reduced
-    homology.  The link's facets are the masks of the facets through s,
-    less s.
+    Only the faces equal to their meet, the intersection of the facets
+    that hold them, are scanned, by size, then lexicographic.  Any other
+    face s has a vertex outside s in every facet through s, so link s is a
+    cone over that vertex and has no reduced homology.  Every meet holds
+    the cone C of vertices in every facet, and meet(s) = meet'(s - C) + C
+    for meet' over the facets less C, which `face_meets` walks.  The link's
+    facets are the masks of the facets through s, less s.
     """
     d = max(len(f) for f in cx.facets)  # Krull dimension of k[cx]
     contribs: dict[int, list[tuple[tuple[int, ...], int]]] = {i: [] for i in range(d + 1)}
-    masks = cx.masks
-    for s in face_tuples(sm for sm, meet in face_meets(masks).items() if sm == meet):
-        sm = sum(1 << v for v in s)
+    cone = sum(1 << v for v in cone_vertices(cx))
+    masks = [m ^ cone for m in cx.masks]
+    for s in face_tuples(sm | cone for sm, meet in face_meets(masks).items() if sm == meet):
+        sm = sum(1 << v for v in s) ^ cone
         hv = _mask_homology([fm ^ sm for fm in masks if fm & sm == sm], field)
         for j, h in hv.dims:
             contribs[j + len(s) + 1].append((s, h))

@@ -18,6 +18,7 @@ case is rare.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -216,42 +217,38 @@ def _strong_core(masks: list[int]) -> list[int]:
     return masks
 
 
-_homology_cache: dict[tuple, HomologyVector] = {}
-_ZERO = HomologyVector(())
-
-
 def _mask_homology(masks: list[int], field: FieldSpec) -> HomologyVector:
-    """Reduced homology of the complex whose facets are these masks.
-
-    The cache is keyed on the strong core with its vertices relabelled in
-    order.  Over GF(2) the XOR ranks are the answer.  Over QQ they are the
-    answer too when the GF(2) homology sits in at most one degree: each
-    rational Betti number is at most the GF(2) one (universal coefficients)
-    and the alternating sums agree.  Other cores, and every core over an
-    odd prime field, are ranked by `rank`.
-    """
+    """Reduced homology of the complex whose facets are these masks, read
+    off its strong core with the vertices relabelled in order."""
     if masks == [0]:
         return HomologyVector(((-1, 1),))
     core = _strong_core(masks)
     if len(core) == 1:
-        return _ZERO
+        return HomologyVector(())
     union = 0
     for m in core:
         union |= m
     bits = [1 << v for v in range(union.bit_length()) if union >> v & 1]
-    core = sorted(sum(1 << i for i, b in enumerate(bits) if m & b) for m in core)
+    return _core_homology(
+        tuple(sorted(sum(1 << i for i, b in enumerate(bits) if m & b) for m in core)), field)
+
+
+@lru_cache(maxsize=None)
+def _core_homology(core: tuple[int, ...], field: FieldSpec) -> HomologyVector:
+    """Reduced homology of a relabelled strong core.
+
+    Over GF(2) the XOR ranks are the answer.  Over QQ they are the answer
+    too when the GF(2) homology sits in at most one degree: each rational
+    Betti number is at most the GF(2) one (universal coefficients) and the
+    alternating sums agree.  Other cores, and every core over an odd prime
+    field, are ranked by `rank`.
+    """
     p = field.characteristic
-    key = (tuple(core), p)
-    cached = _homology_cache.get(key)
-    if cached is not None:
-        return cached
     by_size = _faces_by_size(core)
     dims = None if p % 2 else _betti(by_size, lambda s: _gf2_rank(by_size, s))
     if dims is None or (p == 0 and len(dims) > 1):
         dims = _betti(by_size, lambda s: rank(_boundary(by_size, s), field))
-    out = HomologyVector(dims)
-    _homology_cache[key] = out
-    return out
+    return HomologyVector(dims)
 
 
 def reduced_homology(cx: SimplicialComplex, field: FieldSpec) -> HomologyVector:

@@ -4,13 +4,11 @@ from __future__ import annotations
 from .complexes import SimplicialComplex
 
 
-def random_complex(rng: random.Random, n: int, max_facets: int | None = None) -> SimplicialComplex:
+def random_complex(rng: random.Random, n: int) -> SimplicialComplex:
     """Random complex on n ambient vertices; occasionally the full simplex."""
-    if max_facets is None:
-        max_facets = max(2, n)
     if rng.random() < 0.05:
         return SimplicialComplex(n, (tuple(range(n)),))
-    count = rng.randint(1, max_facets)
+    count = rng.randint(1, max(2, n))
     facets = []
     for _ in range(count):
         size = rng.randint(1, n)

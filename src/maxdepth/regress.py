@@ -36,7 +36,7 @@ from .filtration import (
 )
 
 # the ten minimal primes of the 8-cycle edge ideal, 0-based variable indices
-C8_PRIMES = [
+C8_PRIMES = (
     (0, 2, 4, 6),
     (1, 3, 5, 7),
     (1, 2, 4, 6, 7),
@@ -47,7 +47,7 @@ C8_PRIMES = [
     (0, 1, 3, 5, 6),
     (0, 2, 3, 5, 6),
     (1, 3, 4, 6, 7),
-]
+)
 
 
 def c8_ideal():
@@ -159,6 +159,11 @@ def _checks():
     yield "cone quotient preserves maximal depth", (
         profile(cone).maximal_depth
         and profile(quotient_by_variable(cone, 5)).maximal_depth
+    )
+    wide = tensor_join(cycle_edge_ideal(5), parse_generators("", nvars=15))  # 20 vertices
+    yield "C5 with 15 free variables: depth 17 = 2 + 15, maximal depth, kept by a quotient", (
+        profile(wide).depth == 17 and profile(wide).maximal_depth
+        and profile(quotient_by_variable(wide, 19)).maximal_depth
     )
 
     pol = polarize(parse_generators("x1^2", nvars=1))

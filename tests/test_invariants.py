@@ -1,5 +1,7 @@
 import itertools
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +26,11 @@ from maxdepth.ideals import (
     unit_ideal,
     zero_ideal,
 )
+from maxdepth import invariants
 from maxdepth.complexes import (
     SimplicialComplex,
     cycle_edge_ideal,
+    face_meets,
     from_squarefree_ideal,
     link,
     pure_skeleton,
@@ -377,10 +381,28 @@ class TestComplexTable:
         t = complex_table(cx, QQ)
         assert (t.depth, t.dim) == (3, 4)
 
+    def test_walk_leaves_out_the_cone(self, monkeypatch):
+        # free variables are cone vertices; the walk runs on the facets less
+        # the vertices they all hold
+        walked = []
+
+        def spy(masks):
+            walked.append(reduce(and_, masks))
+            return face_meets(masks)
+
+        monkeypatch.setattr(invariants, "face_meets", spy)
+        for I in (zero_ideal(ring(8)), tensor_join(cycle_edge_ideal(5), zero_ideal(ring(6)))):
+            complex_table.__wrapped__(from_squarefree_ideal(I), QQ)
+        assert walked == [0, 0]
+
     def test_cone_skip_matches_all_faces_scan(self, pool_low_dim, pool_mixed_dim):
-        # every complex of both pools and each of its pure skeleta
+        # every complex of both pools and each of its pure skeleta, then
+        # cones: C4-C8 joined with 1-4 free variables, and the full simplex
         cxs = {from_squarefree_ideal(I) for I in pool_low_dim + pool_mixed_dim}
         cxs |= {pure_skeleton(cx, i) for cx in cxs for i in range(-1, cx.dim + 1)}
+        cxs |= {from_squarefree_ideal(tensor_join(cycle_edge_ideal(n), zero_ideal(ring(k))))
+                for n in range(4, 9) for k in range(1, 5)}
+        cxs.add(from_squarefree_ideal(zero_ideal(ring(5))))
         for cx in sorted(cxs, key=lambda c: (c.n, c.facets)):
             for field in (QQ, F2, FieldSpec(3)):
                 got = tuple(d.contributions for d in complex_table(cx, field).degrees)

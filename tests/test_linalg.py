@@ -347,7 +347,14 @@ class TestHomologyOracle:
             calls.append(f)
             return rank(m, f)
 
-        monkeypatch.setattr(linalg, "_homology_cache", {})
+        linalg._core_homology.cache_clear()
         monkeypatch.setattr(linalg, "rank", counted)
         assert reduced_homology(RP2, field).dims == full_homology(RP2, field)
         assert bool(calls) == falls_back
+        # the memo is keyed on the core relabelled in order, so a copy with
+        # its vertices spread out is a hit and ranks nothing
+        spread = SimplicialComplex(11, tuple(tuple(2 * v for v in f) for f in RP2.facets))
+        calls.clear()
+        hits = linalg._core_homology.cache_info().hits
+        assert reduced_homology(spread, field).dims == full_homology(RP2, field)
+        assert linalg._core_homology.cache_info().hits == hits + 1 and not calls
