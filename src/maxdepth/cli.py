@@ -79,22 +79,17 @@ def profile_json(prof: ModuleProfile) -> dict:
 
 def filtration_json(f: DimensionFiltration) -> dict:
     rng = f.base.ring
-    intervals = {iv.index: iv for iv in quotient_depth_intervals(f)}
-    levels = []
-    for lv in f.levels:
-        iv = intervals[lv.index]
-        levels.append(
-            {
-                "i": lv.index,
-                "ideal_gens": [g.format(rng) for g in lv.ideal.gens],
-                "nonzero": lv.nonzero,
-                "ass_i": [_prime_names(p, rng) for p in lv.ass_level],
-                "depth_interval": [iv.module.lo, iv.module.hi] if iv.module else None,
-                "quotient_depth_interval": (
-                    [iv.quotient.lo, iv.quotient.hi] if iv.quotient else None
-                ),
-            }
-        )
+    levels = [
+        {
+            "i": lv.index,
+            "ideal_gens": [g.format(rng) for g in lv.ideal.gens],
+            "nonzero": lv.nonzero,
+            "ass_i": [_prime_names(p, rng) for p in lv.ass_level],
+            "depth_interval": list(iv.module) if iv.module else None,
+            "quotient_depth_interval": list(iv.quotient) if iv.quotient else None,
+        }
+        for lv, iv in zip(f.levels, quotient_depth_intervals(f))
+    ]
     return {"t": f.t, "levels": levels}
 
 
@@ -238,18 +233,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--field", default="q", help="coefficient field: q | f2 | fp=P")
     ap.add_argument("--format", default="table", choices=("table", "json"))
+    probe = ProbeConfig()
     ap.add_argument(
         "--max-vertices", type=int, default=None,
         help="largest vertex count of a Stanley-Reisner complex, after polarization "
-        f"(default {Limits().max_vertices}); for probe, the largest sampled vertex count (default 7)",
+        f"(default {Limits().max_vertices}); for probe, the largest sampled vertex count "
+        f"(default {probe.max_vertices})",
     )
     ap.add_argument(
         "--search-cap", type=int, default=Limits().search_cap,
         help="most nodes one vertex cover search may visit, for associated "
         "primes, decompositions and Stanley-Reisner facets (default %(default)s)",
     )
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--samples", type=int, default=200)
+    ap.add_argument("--seed", type=int, default=probe.seed)
+    ap.add_argument("--samples", type=int, default=probe.samples)
     sub = ap.add_subparsers(dest="command", required=True)
 
     for name in ("analyze", "filtration", "seqcm", "att", "polarize"):
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nvars", type=int, required=True)
 
     sp = sub.add_parser("probe")
-    sp.add_argument("--min-vertices", type=int, default=3)
+    sp.add_argument("--min-vertices", type=int, default=probe.min_vertices)
 
     sub.add_parser("regress")
     return ap
@@ -290,71 +287,57 @@ def run(args) -> tuple[int, str]:
 
 def _dispatch(args) -> tuple[int, str]:
     field = parse_field(args.field)
-    fmt = args.format
     cmd = args.command
-    if cmd == "analyze":
-        I = _load_ideal(args, field)
-        return 0, _render(profile_json(profile(I)), fmt)
-    if cmd == "filtration":
-        I = _load_ideal(args, field)
-        return 0, _render(filtration_json(dimension_filtration(I)), fmt)
-    if cmd == "seqcm":
-        I = _load_ideal(args, field)
-        return 0, _render(seqcm_json(is_sequentially_cm(I)), fmt)
-    if cmd == "att":
-        I = _load_ideal(args, field)
-        return 0, _render(att_json(att_report(I), I), fmt)
-    if cmd == "psupp":
-        I = _load_ideal(args, field)
-        return 0, _render(psupp_json(psupp_monomial(I, args.degree)), fmt)
-    if cmd == "polarize":
-        I = _load_ideal(args, field)
-        pol = polarize(I)
-        out = {
-            "vars": list(pol.ideal.ring.names),
-            "gens": [g.format(pol.ideal.ring) for g in pol.ideal.gens],
-            "added_vars": pol.added_vars,
-        }
-        return 0, _render(out, fmt)
-    if cmd == "localize":
-        I = _load_ideal(args, field)
-        try:
-            face = tuple(sorted({int(v) for v in args.face.split(",") if v.strip()}))
-        except ValueError as exc:
-            raise MalformedInputError(f"face vertices must be integers, got {args.face!r}") from exc
-        try:
-            loc = localization_profile(I, tuple(v - 1 for v in face))
-        except NotInSupportError as exc:  # name the face as typed, 1-based
-            raise NotInSupportError(f"{face} is not a face; its prime is outside Supp") from exc
-        return 0, _render(localize_json(loc), fmt)
-    if cmd == "tensor":
-        I = _load_ideal(args, field)
-        J = _load_ideal(args, field, which="2")
-        joined = tensor_join(I, J)
-        out = {
-            "vars": list(joined.ring.names),
-            "gens": [g.format(joined.ring) for g in joined.gens],
-            "profile": profile_json(profile(joined)),
-        }
-        return 0, _render(out, fmt)
-    if cmd == "directsum":
-        profiles = [
-            profile(parse_generators(g, nvars=args.nvars, field=field))
-            for g in args.gens
-        ]
-        return 0, _render(profile_json(direct_sum_profile(profiles)), fmt)
-    if cmd == "probe":
-        cfg = ProbeConfig(
-            samples=args.samples,
-            max_vertices=args.max_vertices if args.max_vertices is not None else 7,
-            min_vertices=args.min_vertices,
-            seed=args.seed,
-        )
-        return 0, _render(probe_json(probe_open_question(cfg)), fmt)
     if cmd == "regress":
         ok, lines = regress_mod.run_regression()
         return (0 if ok else 1), "\n".join(lines)
-    raise MalformedInputError(f"unknown command {cmd}")
+    if cmd == "probe":
+        max_vertices = ProbeConfig().max_vertices if args.max_vertices is None else args.max_vertices
+        cfg = ProbeConfig(samples=args.samples, max_vertices=max_vertices,
+                          min_vertices=args.min_vertices, seed=args.seed, field=field)
+        out = probe_json(probe_open_question(cfg))
+    elif cmd == "directsum":
+        profiles = [profile(parse_generators(g, nvars=args.nvars, field=field)) for g in args.gens]
+        out = profile_json(direct_sum_profile(profiles))
+    else:
+        I = _load_ideal(args, field)
+        if cmd == "analyze":
+            out = profile_json(profile(I))
+        elif cmd == "filtration":
+            out = filtration_json(dimension_filtration(I))
+        elif cmd == "seqcm":
+            out = seqcm_json(is_sequentially_cm(I))
+        elif cmd == "att":
+            out = att_json(att_report(I), I)
+        elif cmd == "psupp":
+            out = psupp_json(psupp_monomial(I, args.degree))
+        elif cmd == "polarize":
+            pol = polarize(I)
+            out = {
+                "vars": list(pol.ideal.ring.names),
+                "gens": [g.format(pol.ideal.ring) for g in pol.ideal.gens],
+                "added_vars": pol.added_vars,
+            }
+        elif cmd == "localize":
+            try:
+                face = tuple(sorted({int(v) for v in args.face.split(",") if v.strip()}))
+            except ValueError as exc:
+                raise MalformedInputError(f"face vertices must be integers, got {args.face!r}") from exc
+            try:
+                loc = localization_profile(I, tuple(v - 1 for v in face))
+            except NotInSupportError as exc:  # name the face as typed, 1-based
+                raise NotInSupportError(f"{face} is not a face; its prime is outside Supp") from exc
+            out = localize_json(loc)
+        elif cmd == "tensor":
+            joined = tensor_join(I, _load_ideal(args, field, which="2"))
+            out = {
+                "vars": list(joined.ring.names),
+                "gens": [g.format(joined.ring) for g in joined.gens],
+                "profile": profile_json(profile(joined)),
+            }
+        else:
+            raise MalformedInputError(f"unknown command {cmd}")
+    return 0, _render(out, args.format)
 
 
 def main(argv=None) -> int:

@@ -27,6 +27,7 @@ from .ideals import (
     QQ,
     RingDescriptor,
     irreducible_covers,
+    json_int,
     limits,
     ring,
 )
@@ -207,9 +208,9 @@ def complex_from_json(data) -> SimplicialComplex:
         except json.JSONDecodeError as exc:
             raise MalformedInputError(f"bad JSON: {exc}") from exc
     try:
-        n = int(data["vertices"])
-        facets = [tuple(int(v) - 1 for v in f) for f in data["facets"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = json_int(data["vertices"])
+        facets = [tuple(json_int(v) - 1 for v in f) for f in data["facets"]]
+    except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"bad facet JSON: {exc}") from exc
     return SimplicialComplex(n, tuple(facets))
 

@@ -9,9 +9,11 @@ from typing import NamedTuple
 
 from .errors import MalformedInputError, SquarefreeRequiredError, UndefinedModuleError
 from .ideals import (
+    FieldSpec,
     Monomial,
     MonomialIdeal,
     PrimeSupport,
+    QQ,
     associated_primes,
     irreducible_covers,
     unit_ideal,
@@ -141,45 +143,39 @@ class LevelIntervals(NamedTuple):
 
 
 def quotient_depth_intervals(f: DimensionFiltration) -> tuple[LevelIntervals, ...]:
-    """Depth-Lemma interval propagation along 0 -> M_i -> M -> M/M_i -> 0.
+    """Depth-Lemma intervals for each M_i and each quotient M_i/M_{i-1}, in
+    one pass up the levels.
 
-    Single deterministic pass: the M_i intervals are pinned first against
-    the exactly computable ends S/I and S/I^(i), then the consecutive
-    quotients are bounded through their own short exact sequences.
+    0 -> M_i -> M -> S/I^(i) -> 0 has exact depths at its ends: depth M_i is
+    depth S/I^(i) + 1 when that is below depth M, and otherwise lies between
+    depth M and dim M_i, the top level up to i holding a prime.  The
+    quotient, nonzero iff level i holds a prime, is M_i when M_{i-1} = 0;
+    otherwise 0 -> M_{i-1} -> M_i -> M_i/M_{i-1} -> 0 puts its depth between
+    min(depth M_i, depth M_{i-1} - 1) and i.
     """
-    I = f.base
-    rng = I.ring
-    depth_m = profile(I).depth
-    module_iv: dict[int, DepthInterval | None] = {}
-    for lv in f.levels:
-        if not lv.nonzero:
-            module_iv[lv.index] = None
-            continue
-        if lv.ideal.is_unit:  # M_i = M
-            module_iv[lv.index] = DepthInterval(depth_m, depth_m)
-            continue
-        depth_q = profile(lv.ideal).depth  # depth of M/M_i = S/I^(i)
-        dim_mi = max(p.dim_in(rng) for p in ass_of_submodule(f, lv.index))
-        if depth_q < depth_m:
-            module_iv[lv.index] = DepthInterval(depth_q + 1, depth_q + 1)
-        else:
-            module_iv[lv.index] = DepthInterval(depth_m, dim_mi)
+    depth_m = profile(f.base).depth
     out = []
+    prev = dim_mi = None  # the interval of M_{i-1}, and dim M_i
     for lv in f.levels:
         i = lv.index
-        mod = module_iv[i]
-        if mod is None:
-            out.append(LevelIntervals(i, None, None))
-            continue
-        prev = module_iv[i - 1] if i > 0 else None
-        quotient_nonzero = bool(lv.ass_level)
-        if not quotient_nonzero:
-            out.append(LevelIntervals(i, mod, None))
-        elif prev is None:
-            out.append(LevelIntervals(i, mod, mod))
+        if lv.ass_level:
+            dim_mi = i
+        if not lv.nonzero:
+            mod = None
+        elif lv.ideal.is_unit:  # M_i = M
+            mod = DepthInterval(depth_m, depth_m)
         else:
-            lo = max(0, min(mod.lo, prev.lo - 1))
-            out.append(LevelIntervals(i, mod, DepthInterval(lo, i)))
+            depth_q = profile(lv.ideal).depth  # depth of M/M_i = S/I^(i)
+            mod = (DepthInterval(depth_q + 1, depth_q + 1) if depth_q < depth_m
+                   else DepthInterval(depth_m, dim_mi))
+        if not lv.ass_level:
+            quot = None
+        elif prev is None:
+            quot = mod
+        else:
+            quot = DepthInterval(max(0, min(mod.lo, prev.lo - 1)), i)
+        out.append(LevelIntervals(i, mod, quot))
+        prev = mod
     return tuple(out)
 
 
@@ -289,18 +285,20 @@ def psupp_monomial(I: MonomialIdeal, i: int) -> PsuppEntry:
 # open-question prober: finite-length local cohomology under maximal depth
 
 class ProbeConfig(NamedTuple("ProbeConfig", [
-    ("samples", int), ("max_vertices", int), ("min_vertices", int), ("seed", int)
+    ("samples", int), ("max_vertices", int), ("min_vertices", int), ("seed", int),
+    ("field", FieldSpec),
 ])):
     __slots__ = ()
 
     def __new__(cls, samples: int = 200, max_vertices: int = 7, min_vertices: int = 3,
-                seed: int = 0):
-        self = super().__new__(cls, samples, max_vertices, min_vertices, seed)
+                seed: int = 0, field: FieldSpec = QQ):
         if samples < 0 or not 1 <= min_vertices <= max_vertices:
             raise MalformedInputError(
-                f"probe needs samples >= 0 and 1 <= min_vertices <= max_vertices, got {self}"
+                "probe needs samples >= 0 and 1 <= min_vertices <= max_vertices, got "
+                f"ProbeConfig(samples={samples!r}, max_vertices={max_vertices!r}, "
+                f"min_vertices={min_vertices!r}, seed={seed!r})"
             )
-        return self
+        return super().__new__(cls, samples, max_vertices, min_vertices, seed, field)
 
 
 class ProbeHit(NamedTuple):
@@ -331,7 +329,7 @@ def probe_open_question(config: ProbeConfig) -> ProbeReport:
     for _ in range(config.samples):
         n = rng.randint(config.min_vertices, config.max_vertices)
         cx = random_complex(rng, n)
-        prof = profile(to_ideal(cx))
+        prof = profile(to_ideal(cx, field=config.field))
         if not (prof.maximal_depth and prof.depth > 0):
             continue
         eligible += 1

@@ -510,6 +510,13 @@ def parse_generators(
     return MonomialIdeal(rng, tuple(gens))
 
 
+def json_int(v) -> int:
+    """v itself when it is a JSON integer (an int, not a bool)."""
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
 def ideal_from_json(data, field: FieldSpec = QQ) -> MonomialIdeal:
     """JSON form {"vars": [...names...], "gens": [[e1..en], ...]}."""
     if isinstance(data, str):
@@ -519,8 +526,8 @@ def ideal_from_json(data, field: FieldSpec = QQ) -> MonomialIdeal:
             raise MalformedInputError(f"bad JSON: {exc}") from exc
     try:
         names = tuple(str(v) for v in data["vars"])
-        gens = [tuple(int(e) for e in g) for g in data["gens"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        gens = [tuple(json_int(e) for e in g) for g in data["gens"]]
+    except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"bad ideal JSON: {exc}") from exc
     rng = RingDescriptor(names, field)
     return MonomialIdeal(rng, tuple(Monomial(g) for g in gens))

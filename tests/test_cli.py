@@ -4,12 +4,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import maxdepth
-from maxdepth import invariants
+from maxdepth import filtration, invariants
 from maxdepth.cli import main
+from maxdepth.complexes import SimplicialComplex
 from maxdepth.invariants import HochsterTable
 
 C8 = "--edges=n=8; edges=1-2,2-3,3-4,4-5,5-6,6-7,7-8,1-8"
+RP2_FACETS = [
+    [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 2, 6], [1, 5, 6],
+    [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6],
+]
 
 
 def run_cli(capsys, *argv):
@@ -49,12 +56,8 @@ class TestAnalyze:
         assert doc["ass"] == [["x10", "x11"]] and doc["depth"] == 9
 
     def test_field_flag(self, capsys, tmp_path):
-        facets = [
-            [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 2, 6], [1, 5, 6],
-            [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6],
-        ]
         path = tmp_path / "rp2.json"
-        path.write_text(json.dumps({"vertices": 6, "facets": facets}))
+        path.write_text(json.dumps({"vertices": 6, "facets": RP2_FACETS}))
         rp2 = f"--facets-json={path}"
         q = run_json(capsys, "analyze", rp2)
         f2 = run_json(capsys, "--field=f2", "analyze", rp2)
@@ -133,11 +136,55 @@ class TestOtherCommands:
         )
         assert doc["samples"] == 25 and doc["hits"] == []
 
+    def test_probe_honours_field(self, capsys, monkeypatch):
+        # every sample is RP2: depth 3 = mdepth over QQ, but depth 2 over GF(2)
+        rp2 = SimplicialComplex(6, tuple(tuple(v - 1 for v in f) for f in RP2_FACETS))
+        monkeypatch.setattr(filtration, "random_complex", lambda rng, n: rp2)
+        q = run_json(capsys, "--field=q", "--samples=5", "probe")
+        f2 = run_json(capsys, "--field=f2", "--samples=5", "probe")
+        assert (q["samples"], q["eligible"]) == (5, 5)
+        assert (f2["samples"], f2["eligible"]) == (5, 0)
+
     def test_regress(self, capsys):
         code, out, err = run_cli(capsys, "regress")
         assert code == 0
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+
+class TestJsonInput:
+    def write(self, tmp_path, doc):
+        path = tmp_path / "in.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return str(path)
+
+    def test_ideal_json_names_reach_ass(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"vars": ["a", "b", "c"], "gens": [[1, 1, 0], [0, 1, 1]]})
+        doc = run_json(capsys, "analyze", f"--ideal-json={path}")
+        assert doc["ass"] == [["a", "c"], ["b"]] and doc["depth"] == 1
+
+    @pytest.mark.parametrize("doc", [
+        "{not json",
+        {"vars": ["a", "b"]},
+        {"gens": [[1, 0]]},
+        {"vars": ["a", "b"], "gens": [[1, 2, 3]]},
+        {"vars": ["a", "b"], "gens": [[2.7, 0], [1, 1]]},
+        {"vars": ["a", "b"], "gens": [[2, 0], [True, 1]]},
+        {"vars": ["a", "b"], "gens": [["2", 0]]},
+    ])
+    def test_bad_ideal_json_is_2(self, capsys, tmp_path, doc):
+        code, out, err = run_cli(capsys, "analyze", f"--ideal-json={self.write(tmp_path, doc)}")
+        assert (code, out) == (2, "") and "error kind=malformed-input" in err, err
+
+    @pytest.mark.parametrize("doc", [
+        {"vertices": 3, "facets": [[1.9, 2], [3]]},
+        {"vertices": "3", "facets": [["1", "2"]]},
+        {"vertices": 3.0, "facets": [[1, 2]]},
+        {"vertices": 3, "facets": [[True, 2]]},
+    ])
+    def test_non_integer_facet_json_is_2(self, capsys, tmp_path, doc):
+        code, out, err = run_cli(capsys, "analyze", f"--facets-json={self.write(tmp_path, doc)}")
+        assert (code, out) == (2, "") and "expected an integer" in err, err
 
 
 class TestExitCodes:

@@ -244,6 +244,31 @@ class TestDepthIntervals:
             top = iv[len(f.levels) - 1].module
             assert (top.lo, top.hi) == (d, d)
 
+    def test_quotient_reads_the_previous_level(self):
+        # (x1) cap (x1^2, x3) in 4 variables: depth M = 2, M_2 = (x1)/I
+        # has dim 2 and M/M_2 = S/(x1) depth 3, so depth M_2 is pinned to
+        # [2, 2]; the top quotient's lower end is depth M_2 - 1 = 1
+        f = dimension_filtration(parse_generators("x1^2,x1*x3", nvars=4))
+        assert [(iv.module, iv.quotient) for iv in quotient_depth_intervals(f)] == [
+            (None, None),
+            (None, None),
+            ((2, 2), (2, 2)),
+            ((2, 2), (1, 3)),
+        ]
+
+    def test_level_without_primes_between_nonzero_levels(self):
+        # (x3) cap (x2, x3^2, x5) in 5 variables: level 3 holds no prime, so
+        # M_3 = M_2, its interval ends at dim M_3 = 2, its quotient is zero,
+        # and the top quotient's lower end reads M_3
+        f = dimension_filtration(parse_generators("x2*x3,x3^2,x3*x5", nvars=5))
+        assert [(iv.module, iv.quotient) for iv in quotient_depth_intervals(f)] == [
+            (None, None),
+            (None, None),
+            ((2, 2), (2, 2)),
+            ((2, 2), None),
+            ((2, 2), (1, 4)),
+        ]
+
     def test_zero_levels_have_no_interval(self):
         iv = quotient_depth_intervals(dimension_filtration(c8_ideal()))
         assert iv[0].module is None and iv[0].quotient is None

@@ -1,6 +1,6 @@
 """The package's public surface: every name `maxdepth/__init__.py` imports is
 listed in README's "Library" section or has a caller in src/maxdepth outside
-its own module."""
+its own module.  And no module binds a mutable container at top level."""
 import ast
 import re
 from pathlib import Path
@@ -51,3 +51,66 @@ def test_every_export_is_documented_or_called():
 def test_no_all_list():
     # the import list is the surface; an __all__ would repeat it
     assert not hasattr(maxdepth, "__all__")
+
+
+CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = ("dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque")
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def module_level_nodes(node):
+    """The nodes under `node` outside any function or class body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, SCOPES):
+            yield child
+            yield from module_level_nodes(child)
+
+
+def is_container(value):
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in CONTAINER_CALLS
+    return isinstance(value, CONTAINER_NODES)
+
+
+def module_level_containers(source):
+    """Lines that bind a dict, list or set display or comprehension, or a
+    call to a container type, at module level."""
+    return sorted(
+        node.lineno for node in module_level_nodes(ast.parse(source))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and is_container(node.value)
+    )
+
+
+def test_no_module_level_mutable_container():
+    # the engine's memos are functools.lru_cache on pure functions, read with
+    # cache_info(); a module-level container would be state that outlives the
+    # call and that no cache_clear() reaches
+    found = {p.name: module_level_containers(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_container_check_flags_synthetic_source():
+    source = "\n".join([
+        "import collections",
+        "X = {'a': 1}",
+        "Y = [1, 2]",
+        "T = {1, 2}",
+        "S = dict(a=1)",
+        "D: dict = {}",
+        "Z = collections.defaultdict(list)",
+        "C = {k: 1 for k in 'ab'}",
+        "Z += [3]",
+        "if True:",
+        "    Q = []",
+        "K = (1, 2)",
+        "F = frozenset({1})",
+        "N = None",
+        "def f():",
+        "    local = {}",
+        "class R:",
+        "    attr = []",
+    ])
+    assert module_level_containers(source) == [2, 3, 4, 5, 6, 7, 8, 9, 11]
