@@ -9,7 +9,8 @@ import json
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import lru_cache, reduce
+from functools import lru_cache
+from operator import lshift
 from typing import NamedTuple
 
 from .errors import (
@@ -239,29 +240,6 @@ def unit_ideal(rng: RingDescriptor) -> MonomialIdeal:
     return MonomialIdeal(rng, (Monomial((0,) * rng.n),))
 
 
-def _require_same_ring(I: MonomialIdeal, J: MonomialIdeal):
-    if I.ring != J.ring:
-        raise RingMismatchError("operands live in different rings")
-
-
-def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """Pairwise-lcm intersection of monomial ideals."""
-    _require_same_ring(I, J)
-    return MonomialIdeal(I.ring, tuple(u.lcm(v) for u in I.gens for v in J.gens))
-
-
-def intersect_all(rng: RingDescriptor, ideals) -> MonomialIdeal:
-    """Intersection of a family; the empty family gives the unit ideal."""
-    ideals = list(ideals)
-    if not ideals:
-        return unit_ideal(rng)
-    return reduce(intersect, ideals)
-
-
-def prime_ideal(rng: RingDescriptor, p: PrimeSupport) -> MonomialIdeal:
-    return MonomialIdeal(rng, tuple(variable(rng, i) for i in p.vars))
-
-
 @lru_cache(maxsize=None)
 def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
     """The vertex covers C of pol I in which every pair has a tight generator,
@@ -362,16 +340,64 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     return tuple(sorted(kept, key=lambda c: tuple(_graded_lex_key(g) for g in c.gens)))
 
 
+def meet_covers(J: MonomialIdeal, covers) -> MonomialIdeal:
+    """J cap q_C over a list of covers C, each an iterable of (variable,
+    power) pairs, with q_C = (x_k^j : (k, j) in C); the empty cover gives
+    the zero ideal, and an empty list gives J.
+
+    J cap q_C is generated by the lcms of the generators g of J with the
+    x_k^j.  A g inside q_C (g_k >= j for some (k, j) in C) stays as it is,
+    and it stays minimal: a generator of J cap q_C dividing it lies in J,
+    so it is a multiple of a generator of J and that can only be g.  Any
+    other g is raised at each (k, j) of C to g + (j - g_k) e_k.  Only the
+    raised candidates need the divisibility test, taken in ascending degree
+    against the generators kept so far: a proper divisor has lower degree,
+    so it was decided before, and a discarded one has a kept divisor.
+
+    The test runs on exponent vectors packed into one int, one field of
+    w = bit_length(max exponent) + 1 bits per variable, the maximum taken
+    over J and the covers.  No exponent met on the way exceeds it (a raise
+    sets g_k to a power j of a cover), so it fits below the top bit of its
+    field, the guard bit.  With G the guard bits, each field of (B | G) - A
+    holds 2^(w-1) + b_k - a_k, which lies in [1, 2^w): no field borrows
+    from the next, and its guard bit is set exactly when a_k <= b_k.  So
+    x^a divides x^b iff ((B | G) - A) & G == G.
+    """
+    n = J.ring.n
+    top = max((e for g in J.gens for e in g.exponents), default=0)
+    w = max([top] + [j for c in covers for _, j in c]).bit_length() + 1
+    shifts = range(0, n * w, w)
+    mask = (1 << w) - 1
+    guard = sum(1 << (s + w - 1) for s in shifts)
+    gens = [(g.degree, sum(map(lshift, g.exponents, shifts))) for g in J.gens]
+    for c in covers:
+        pairs = [(k * w, j) for k, j in c]
+        kept, raised = [], set()
+        for deg, a in gens:
+            at = [(s, j, (a >> s) & mask) for s, j in pairs]
+            if any(e >= j for _, j, e in at):
+                kept.append((deg, a))
+            else:
+                raised.update((deg + j - e, a + ((j - e) << s)) for s, j, e in at)
+        for deg, b in sorted(raised):
+            bg = b | guard
+            if not any((bg - a) & guard == guard for _, a in kept):
+                kept.append((deg, b))
+        gens = kept
+    return MonomialIdeal(J.ring, tuple(
+        Monomial(tuple((a >> s) & mask for s in shifts)) for _, a in gens
+    ))
+
+
 def primary_decomposition(I: MonomialIdeal) -> tuple[tuple[PrimeSupport, MonomialIdeal], ...]:
-    """Primary components, by intersecting irreducible components sharing a radical."""
-    groups: dict[PrimeSupport, list[MonomialIdeal]] = {}
-    for c in irreducible_decomposition(I):
-        rad = PrimeSupport.of(i for g in c.gens for i in g.support)
-        groups.setdefault(rad, []).append(c)
-    out = []
-    for rad in sorted(groups):
-        out.append((rad, intersect_all(I.ring, groups[rad])))
-    return tuple(out)
+    """Primary components: for each P in Ass(S/I), the meet of the
+    irreducible components with radical P."""
+    if I.is_unit:
+        raise UndefinedModuleError("the unit ideal has no decomposition")
+    groups: dict[PrimeSupport, list[frozenset]] = {}
+    for c in irreducible_covers(I):
+        groups.setdefault(PrimeSupport.of(k for k, _ in c), []).append(c)
+    return tuple((rad, meet_covers(unit_ideal(I.ring), groups[rad])) for rad in sorted(groups))
 
 
 class Polarization(NamedTuple):
@@ -525,11 +551,15 @@ def ideal_from_json(data, field: FieldSpec = QQ) -> MonomialIdeal:
         except json.JSONDecodeError as exc:
             raise MalformedInputError(f"bad JSON: {exc}") from exc
     try:
-        names = tuple(str(v) for v in data["vars"])
+        names = data["vars"]
         gens = [tuple(json_int(e) for e in g) for g in data["gens"]]
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"bad ideal JSON: {exc}") from exc
-    rng = RingDescriptor(names, field)
+    if type(names) is not list or not all(
+        type(v) is str and re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", v) for v in names
+    ):
+        raise MalformedInputError(f"bad ideal JSON: expected variable names, got {names!r}")
+    rng = RingDescriptor(tuple(names), field)
     return MonomialIdeal(rng, tuple(Monomial(g) for g in gens))
 
 

@@ -60,7 +60,6 @@ class HochsterDegree(NamedTuple):
 
 class HochsterTable(NamedTuple):
     degrees: tuple[HochsterDegree, ...]  # cohomological degrees 0..dim
-    polarized: bool = False
 
     def at(self, i: int) -> HochsterDegree:
         return self.degrees[i]
@@ -113,7 +112,7 @@ def _shifted_table(I: MonomialIdeal) -> HochsterTable:
     if any(d.nonzero for d in raw.degrees[:a]):
         raise InternalCheckError("polarized table nonzero below the shift")
     degrees = tuple(HochsterDegree(d.degree - a, d.contributions) for d in raw.degrees[a:])
-    return HochsterTable(degrees, polarized=True)
+    return HochsterTable(degrees)
 
 
 class ModuleProfile(NamedTuple):
@@ -264,5 +263,5 @@ def direct_sum_profile(profiles: list[ModuleProfile]) -> ModuleProfile:
     return ModuleProfile(
         ring=rng, ideal=None, dim=dim_s, depth=min(p.depth for p in profiles),
         mdepth=min(p.dim_in(rng) for p in ass), ass=ass,
-        hochster=HochsterTable(merged, polarized=any(p.hochster.polarized for p in profiles)),
+        hochster=HochsterTable(merged),
     )

@@ -11,13 +11,13 @@ from .ideals import (
     MonomialIdeal,
     PrimeSupport,
     associated_primes,
-    intersect_all,
+    meet_covers,
     parse_generators,
     polarize,
-    prime_ideal,
     quotient_by_variable,
     ring,
     tensor_join,
+    unit_ideal,
 )
 from .complexes import (
     SimplicialComplex,
@@ -71,8 +71,7 @@ def _checks():
         associated_primes(I8) == c8_prime_supports()
     )
     yield "C8 edge ideal is the intersection of its ten primes", (
-        intersect_all(I8.ring, [prime_ideal(I8.ring, p) for p in c8_prime_supports()])
-        == I8
+        meet_covers(unit_ideal(I8.ring), [[(k, 1) for k in p] for p in C8_PRIMES]) == I8
     )
     yield "C8 generators already minimal", MonomialIdeal(I8.ring, I8.gens) == I8
     yield "C8 dim 4", p8.dim == 4
@@ -82,7 +81,7 @@ def _checks():
     yield "C8 projdim 5 (Auslander-Buchsbaum)", projdim(I8) == 5
 
     top2 = frozenset(PrimeSupport(p) for p in C8_PRIMES[:2])
-    level3 = intersect_all(I8.ring, [prime_ideal(I8.ring, p) for p in top2])
+    level3 = meet_covers(unit_ideal(I8.ring), [[(k, 1) for k in p] for p in C8_PRIMES[:2]])
     yield "C8 filtration: levels 1 and 2 vanish", (
         not f8.level(1).nonzero and not f8.level(2).nonzero
     )

@@ -16,8 +16,6 @@ from maxdepth.ideals import (
     PrimeSupport,
     QQ,
     associated_primes,
-    intersect_all,
-    prime_ideal,
     quotient_by_variable,
     ring,
     tensor_join,
@@ -48,6 +46,7 @@ from maxdepth.random_instances import random_complex
 from maxdepth.regress import C8_PRIMES, c8_ideal, two_planes_ideal
 
 from faces_oracle import all_faces
+from intersect_oracle import intersect_all, prime_ideal
 from rank_oracle import dense
 
 RP2 = SimplicialComplex(

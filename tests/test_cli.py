@@ -176,6 +176,14 @@ class TestJsonInput:
         code, out, err = run_cli(capsys, "analyze", f"--ideal-json={self.write(tmp_path, doc)}")
         assert (code, out) == (2, "") and "error kind=malformed-input" in err, err
 
+    @pytest.mark.parametrize("names", [[1, True], ["x 1", "a*b"], [""], ["(y)"], "ab"])
+    def test_bad_variable_names_are_2(self, capsys, tmp_path, names):
+        # names are a list of JSON strings [A-Za-z][A-Za-z0-9_]*, so every
+        # generator prints as it reads
+        doc = {"vars": names, "gens": [[1] * len(names)]}
+        code, out, err = run_cli(capsys, "analyze", f"--ideal-json={self.write(tmp_path, doc)}")
+        assert (code, out) == (2, "") and "bad ideal JSON: expected variable names" in err, err
+
     @pytest.mark.parametrize("doc", [
         {"vertices": 3, "facets": [[1.9, 2], [3]]},
         {"vertices": "3", "facets": [["1", "2"]]},

