@@ -39,7 +39,6 @@ from .invariants import (
     projdim,
 )
 from .filtration import (
-    AttReport,
     DimensionFiltration,
     ProbeConfig,
     att_report,

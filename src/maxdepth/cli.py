@@ -25,18 +25,16 @@ from .ideals import (
 )
 from .complexes import complex_from_json, parse_edge_list, to_ideal
 from .invariants import (
-    LocalizationProfile,
     ModuleProfile,
     direct_sum_profile,
     localization_profile,
     profile,
 )
 from .filtration import (
-    AttReport,
+    AttClaim,
     DimensionFiltration,
     ProbeConfig,
     ProbeReport,
-    PsuppEntry,
     SeqCMResult,
     att_report,
     dimension_filtration,
@@ -104,7 +102,7 @@ def seqcm_json(res: SeqCMResult) -> dict:
     return out
 
 
-def att_json(rep: AttReport, I: MonomialIdeal) -> dict:
+def att_json(claims: tuple[AttClaim, ...], I: MonomialIdeal) -> dict:
     rng = I.ring
     return {
         "claims": [
@@ -114,23 +112,24 @@ def att_json(rep: AttReport, I: MonomialIdeal) -> dict:
                 "tag": c.tag,
                 "primes": [_prime_names(p, rng) for p in c.primes],
             }
-            for c in rep.claims
+            for c in claims
         ],
     }
 
 
-def psupp_json(entry: PsuppEntry) -> dict:
+def psupp_json(degree: int, faces: tuple[tuple[int, ...], ...]) -> dict:
     return {
-        "degree": entry.degree,
-        "faces": [[v + 1 for v in f] for f in entry.faces],
+        "degree": degree,
+        "faces": [[v + 1 for v in f] for f in faces],
     }
 
 
-def localize_json(loc: LocalizationProfile) -> dict:
+def localize_json(face: tuple[int, ...], local: ModuleProfile) -> dict:
+    """`face` lists the 1-based vertices as typed; dim R/P_F = |F|."""
     return {
-        "face": [v + 1 for v in loc.face],
-        "prime_codim_complement": loc.codim_of_prime,
-        "profile": profile_json(loc.profile),
+        "face": list(face),
+        "prime_codim_complement": len(face),
+        "profile": profile_json(local),
     }
 
 
@@ -166,21 +165,26 @@ def _table(obj, indent: str = "") -> str:
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             lines.append(f"{indent}{key}:")
             for item in value:
-                row = "  ".join(f"{k}={_fmt_scalar(v)}" for k, v in item.items())
+                row = "  ".join(f"{k}={_fmt_scalar(k, v)}" for k, v in item.items())
                 lines.append(f"{indent}  {row}")
         else:
-            lines.append(f"{indent}{key}: {_fmt_scalar(value)}")
+            lines.append(f"{indent}{key}: {_fmt_scalar(key, value)}")
     return "\n".join(lines)
 
 
-def _fmt_scalar(v) -> str:
+# keys whose values are lists of primes or of faces: an empty one prints {},
+# apart from the list holding only the zero prime or the empty face, ()
+_PRIME_OR_FACE_LISTS = ("ass", "assd", "ass_i", "primes", "faces")
+
+
+def _fmt_scalar(key: str, v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if v is None:
         return "-"
+    if key in _PRIME_OR_FACE_LISTS:
+        return " ".join("(" + ", ".join(map(str, x)) + ")" for x in v) or "{}"
     if isinstance(v, list):
-        if v and isinstance(v[0], list):
-            return " ".join("(" + ", ".join(map(str, x)) + ")" for x in v) or "{}"
         return "(" + ", ".join(map(str, v)) + ")"
     return str(v)
 
@@ -310,7 +314,7 @@ def _dispatch(args) -> tuple[int, str]:
         elif cmd == "att":
             out = att_json(att_report(I), I)
         elif cmd == "psupp":
-            out = psupp_json(psupp_monomial(I, args.degree))
+            out = psupp_json(args.degree, psupp_monomial(I, args.degree))
         elif cmd == "polarize":
             pol = polarize(I)
             out = {
@@ -324,10 +328,10 @@ def _dispatch(args) -> tuple[int, str]:
             except ValueError as exc:
                 raise MalformedInputError(f"face vertices must be integers, got {args.face!r}") from exc
             try:
-                loc = localization_profile(I, tuple(v - 1 for v in face))
+                local = localization_profile(I, tuple(v - 1 for v in face))
             except NotInSupportError as exc:  # name the face as typed, 1-based
                 raise NotInSupportError(f"{face} is not a face; its prime is outside Supp") from exc
-            out = localize_json(loc)
+            out = localize_json(face, local)
         elif cmd == "tensor":
             joined = tensor_join(I, _load_ideal(args, field, which="2"))
             out = {

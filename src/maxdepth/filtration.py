@@ -193,11 +193,7 @@ class AttClaim(NamedTuple):
     primes: tuple[PrimeSupport, ...]
 
 
-class AttReport(NamedTuple):
-    claims: tuple[AttClaim, ...]
-
-
-def att_report(I: MonomialIdeal) -> AttReport:
+def att_report(I: MonomialIdeal) -> tuple[AttClaim, ...]:
     """Attached primes of the local cohomology modules, degree by degree.
 
     Each claim lists Ass^i, the associated primes p with dim R/p = i, all
@@ -219,15 +215,10 @@ def att_report(I: MonomialIdeal) -> AttReport:
             claims.append(AttClaim(i, "full", "top-assh", ass_i))
         else:
             claims.append(AttClaim(i, "lower-bound", "lower-bound-only", ass_i))
-    return AttReport(tuple(claims))
+    return tuple(claims)
 
 
-class PsuppEntry(NamedTuple):
-    degree: int
-    faces: tuple[tuple[int, ...], ...]
-
-
-def psupp_monomial(I: MonomialIdeal, i: int) -> PsuppEntry:
+def psupp_monomial(I: MonomialIdeal, i: int) -> tuple[tuple[int, ...], ...]:
     """Faces F whose link has nonvanishing local cohomology in degree i - |F|.
 
     Since lk_{lk F} G = lk(F cup G), G contributes to degree i - |F| of
@@ -240,7 +231,7 @@ def psupp_monomial(I: MonomialIdeal, i: int) -> PsuppEntry:
     cx = from_squarefree_ideal(I)
     t = complex_table(cx, I.ring.field_spec)
     tops = t.at(i).contributions if 0 <= i < len(t.degrees) else ()
-    return PsuppEntry(i, tuple(face_tuples(face_meets([sum(1 << v for v in s) for s, _ in tops]))))
+    return tuple(face_tuples(face_meets([sum(1 << v for v in s) for s, _ in tops])))
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,6 @@ class PrimeSupport(NamedTuple):
     def dim_in(self, rng: RingDescriptor) -> int:
         return rng.n - len(self.vars)
 
-    def contains(self, other: "PrimeSupport") -> bool:
-        return set(other.vars) <= set(self.vars)
-
     def format(self, rng: RingDescriptor) -> str:
         if not self.vars:
             return "(0)"
@@ -181,12 +178,8 @@ def _graded_lex_key(m: Monomial):
 
 
 def _minimal_gens(gens: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
-    uniq = sorted(set(gens), key=_graded_lex_key)
-    if any(g.is_one for g in uniq):
-        n = len(uniq[0].exponents)
-        return (Monomial((0,) * n),)
     kept: list[Monomial] = []
-    for g in uniq:
+    for g in sorted(set(gens), key=_graded_lex_key):
         if not any(h.divides(g) for h in kept):
             kept.append(g)
     return tuple(kept)

@@ -94,8 +94,7 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
     masks = [m ^ cone for m in cx.masks]
     for s in face_tuples(sm | cone for sm, meet in face_meets(masks).items() if sm == meet):
         sm = sum(1 << v for v in s) ^ cone
-        hv = _mask_homology([fm ^ sm for fm in masks if fm & sm == sm], field)
-        for j, h in hv.dims:
+        for j, h in _mask_homology([fm ^ sm for fm in masks if fm & sm == sm], field):
             contribs[j + len(s) + 1].append((s, h))
     return HochsterTable(tuple(HochsterDegree(i, tuple(contribs[i])) for i in range(d + 1)))
 
@@ -204,23 +203,15 @@ def projdim(I: MonomialIdeal) -> int:
         } - lattice
     top = 0
     for b in sorted(lattice, key=lambda m: (m.degree, m.exponents)):
-        hv = reduced_homology(_upper_koszul(I, b), field)
-        for j, h in hv.dims:
-            if h:
-                top = max(top, j + 2)
+        for j, _ in reduced_homology(_upper_koszul(I, b), field):
+            top = max(top, j + 2)
     return top
 
 
 # ---------------------------------------------------------------------------
 # localization at face primes and formal direct sums
 
-class LocalizationProfile(NamedTuple):
-    face: tuple[int, ...]
-    codim_of_prime: int  # dim R/p_F = |F|
-    profile: ModuleProfile
-
-
-def localization_profile(I: MonomialIdeal, face) -> LocalizationProfile:
+def localization_profile(I: MonomialIdeal, face) -> ModuleProfile:
     """Profile of S/(I_F + (x_j : j in F)), I_F setting x_j = 1 for j in F:
     the localization at P_F = (x_j : j not in F), in the same ring; for
     squarefree I, the ideal of link F.  Guarded by two always-on oracles:
@@ -239,7 +230,7 @@ def localization_profile(I: MonomialIdeal, face) -> LocalizationProfile:
     if any(set(q.vars).isdisjoint(face) for q in glob.assd):  # P_F contains q
         if glob.depth != local.depth + len(face) or not local.maximal_depth:
             raise InternalCheckError("localization equality failed under the Assd hypothesis")
-    return LocalizationProfile(face, len(face), local)
+    return local
 
 
 def direct_sum_profile(profiles: list[ModuleProfile]) -> ModuleProfile:

@@ -44,12 +44,6 @@ class SparseMatrix(NamedTuple(
         return super().__new__(cls, rows, cols, entries)
 
 
-class HomologyVector(NamedTuple):
-    """dim_K of reduced homology per degree; degrees with zero dim are omitted."""
-
-    dims: tuple[tuple[int, int], ...]
-
-
 def _faces_by_size(masks: list[int]) -> list[list[int]]:
     """Every face of the complex with these facet masks, as masks, listed by
     vertex count, then by value; entry 0 is [0], the empty face."""
@@ -217,14 +211,14 @@ def _strong_core(masks: list[int]) -> list[int]:
     return masks
 
 
-def _mask_homology(masks: list[int], field: FieldSpec) -> HomologyVector:
+def _mask_homology(masks: list[int], field: FieldSpec) -> tuple[tuple[int, int], ...]:
     """Reduced homology of the complex whose facets are these masks, read
     off its strong core with the vertices relabelled in order."""
     if masks == [0]:
-        return HomologyVector(((-1, 1),))
+        return ((-1, 1),)
     core = _strong_core(masks)
     if len(core) == 1:
-        return HomologyVector(())
+        return ()
     union = 0
     for m in core:
         union |= m
@@ -234,7 +228,7 @@ def _mask_homology(masks: list[int], field: FieldSpec) -> HomologyVector:
 
 
 @lru_cache(maxsize=None)
-def _core_homology(core: tuple[int, ...], field: FieldSpec) -> HomologyVector:
+def _core_homology(core: tuple[int, ...], field: FieldSpec) -> tuple[tuple[int, int], ...]:
     """Reduced homology of a relabelled strong core.
 
     Over GF(2) the XOR ranks are the answer.  Over QQ they are the answer
@@ -248,9 +242,9 @@ def _core_homology(core: tuple[int, ...], field: FieldSpec) -> HomologyVector:
     dims = None if p % 2 else _betti(by_size, lambda s: _gf2_rank(by_size, s))
     if dims is None or (p == 0 and len(dims) > 1):
         dims = _betti(by_size, lambda s: rank(_boundary(by_size, s), field))
-    return HomologyVector(dims)
+    return dims
 
 
-def reduced_homology(cx: SimplicialComplex, field: FieldSpec) -> HomologyVector:
-    """dim_K of reduced homology in every degree -1..dim."""
+def reduced_homology(cx: SimplicialComplex, field: FieldSpec) -> tuple[tuple[int, int], ...]:
+    """(degree, dim_K) of each nonzero reduced homology group, by degree."""
     return _mask_homology(cx.masks, field)

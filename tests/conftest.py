@@ -27,7 +27,7 @@ def random_monomial_ideal(rng, n, max_gens=4, max_exp=3, field=QQ):
 def minimal_primes_of(I):
     """Inclusion-minimal members of Ass(S/I)."""
     ass = associated_primes(I)
-    return frozenset(p for p in ass if not any(q != p and p.contains(q) for q in ass))
+    return frozenset(p for p in ass if not any(q != p and set(q.vars) <= set(p.vars) for q in ass))
 
 
 @pytest.fixture(scope="session")

@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     mismatches = 0
     for cx in pool(args.seed, args.samples):
         for field in FIELDS:
-            got = reduced_homology(cx, field).dims
+            got = reduced_homology(cx, field)
             want = full_homology(cx, field)
             if got != want:
                 mismatches += 1

@@ -17,7 +17,7 @@ def table_by_all_faces(cx, field):
     link of every face, cones included."""
     contribs = [[] for _ in range(cx.dim + 2)]
     for s in all_faces(cx):
-        for j, h in reduced_homology(link(cx, s), field).dims:
+        for j, h in reduced_homology(link(cx, s), field):
             contribs[j + len(s) + 1].append((s, h))
     return tuple(tuple(c) for c in contribs)
 
@@ -32,7 +32,7 @@ def seqcm_by_rescan(I):
         sk = pure_skeleton(cx, i)
         for s in all_faces(sk):
             lk = link(sk, s)
-            for j, h in reduced_homology(lk, field).dims:
+            for j, h in reduced_homology(lk, field):
                 if h and j < lk.dim:
                     return ("false", i, s, j)
     return ("true", None, None, None)

@@ -111,8 +111,28 @@ class TestOtherCommands:
 
     def test_localize(self, capsys):
         doc = run_json(capsys, "localize", C8, "--face=2,4,6,8")
-        assert doc["face"] == [2, 4, 6, 8]
+        assert doc["face"] == [2, 4, 6, 8] and doc["prime_codim_complement"] == 4
         assert doc["profile"]["maximal_depth"] is True
+
+    def test_table_tells_empty_lists_from_the_zero_prime_and_empty_face(self, capsys):
+        # a list of primes or faces prints {} when empty and () for the
+        # zero prime or the empty face alone; a face or generator list
+        # prints () when empty
+        two_planes = "--gens=x1*x3,x1*x4,x2*x3,x2*x4"
+        assert run_cli(capsys, "psupp", two_planes, "--degree=0")[1] == "degree: 0\nfaces: {}\n"
+        assert run_cli(capsys, "psupp", two_planes, "--degree=1")[1] == "degree: 1\nfaces: ()\n"
+        assert run_json(capsys, "psupp", two_planes, "--degree=0")["faces"] == []
+        assert run_json(capsys, "psupp", two_planes, "--degree=1")["faces"] == [[]]
+        zero = ("--gens=0", "--nvars=2")
+        out = run_cli(capsys, "att", *zero)[1]
+        assert [line.rsplit("primes=", 1)[1] for line in out.splitlines()[1:]] == ["{}", "{}", "()"]
+        out = run_cli(capsys, "filtration", *zero)[1]
+        assert "  i=0  ideal_gens=()  nonzero=false  ass_i={}  " in out
+        out = run_cli(capsys, "analyze", "--gens=x1*x2,x2*x3")[1]
+        assert "\nass: (x1, x3) (x2)\nassd: (x1, x3)\n" in out
+        assert "\nassd: {}\n" in run_cli(capsys, "analyze", two_planes)[1]
+        assert run_cli(capsys, "localize", "--gens=x1*x2", "--face=")[1].startswith("face: ()\n")
+        assert "\ngens: ()\n" in run_cli(capsys, "polarize", *zero)[1]
 
     def test_tensor(self, capsys):
         doc = run_json(capsys, "tensor", "--gens=x1*x2", "--gens2=x1*x2")

@@ -43,11 +43,10 @@ from maxdepth.filtration import (
     dimension_filtration,
     is_sequentially_cm,
     probe_open_question,
-    psupp_monomial,
     quotient_depth_intervals,
 )
-from maxdepth.invariants import HochsterDegree, localization_profile, profile
-from maxdepth.linalg import SparseMatrix, boundary_matrix, reduced_homology
+from maxdepth.invariants import HochsterDegree, profile
+from maxdepth.linalg import SparseMatrix, boundary_matrix
 from maxdepth.regress import C8_PRIMES, c8_ideal
 
 from colon_oracle import colon, colon_search_ass
@@ -317,15 +316,12 @@ def public_records():
     prof = profile(I)
     f = dimension_filtration(I)
     levels = quotient_depth_intervals(f)
-    att = att_report(I)
     triangle = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
     return [
         Limits(), I.ring.field_spec, I.ring, I.gens[0], prof.ass[0], I, polarize(I),
-        triangle, boundary_matrix(triangle, 1), reduced_homology(triangle, FieldSpec(2)),
-        prof.hochster.degrees[0], prof.hochster, prof, localization_profile(J, (0,)),
-        f.levels[0], f, levels[-1], levels[-1].module, is_sequentially_cm(J), att.claims[0],
-        att, psupp_monomial(J, 1), ProbeConfig(), ProbeHit(I, 1, 1, 2),
-        probe_open_question(ProbeConfig(samples=5)),
+        triangle, boundary_matrix(triangle, 1), prof.hochster.degrees[0], prof.hochster, prof,
+        f.levels[0], f, levels[-1], levels[-1].module, is_sequentially_cm(J), att_report(I)[0],
+        ProbeConfig(), ProbeHit(I, 1, 1, 2), probe_open_question(ProbeConfig(samples=5)),
     ]
 
 

@@ -36,6 +36,7 @@ from maxdepth.complexes import (
     to_ideal,
 )
 from maxdepth.invariants import (
+    ModuleProfile,
     complex_table,
     direct_sum_profile,
     localization_profile,
@@ -244,10 +245,11 @@ class TestFieldDependence:
 class TestLocalization:
     def test_empty_face_is_global(self):
         for I in (c8_ideal(), two_planes_ideal()):
+            # the local profile itself, not a record around it
             loc = localization_profile(I, ())
-            assert loc.codim_of_prime == 0
-            assert loc.profile.depth == profile(I).depth
-            assert loc.profile.dim == profile(I).dim
+            assert type(loc) is ModuleProfile
+            assert loc.depth == profile(I).depth
+            assert loc.dim == profile(I).dim
 
     def test_depth_inequality_over_all_faces(self):
         I = c8_ideal()
@@ -255,15 +257,15 @@ class TestLocalization:
         cx = from_squarefree_ideal(I)
         for face in all_faces(cx):
             loc = localization_profile(I, face)
-            assert glob.depth <= loc.profile.depth + len(face)
+            assert glob.depth <= loc.depth + len(face)
 
     def test_equality_under_assd_containment(self):
         # localize C8 at the prime complementary to the facet (x2,x4,x6,x8)
         I = c8_ideal()
         face = (1, 3, 5, 7)
         loc = localization_profile(I, face)
-        assert loc.profile.depth + len(face) >= profile(I).depth
-        assert loc.profile.maximal_depth
+        assert loc.depth + len(face) >= profile(I).depth
+        assert loc.maximal_depth
 
     def test_non_face_rejected(self):
         with pytest.raises(NotInSupportError):
@@ -275,7 +277,7 @@ class TestLocalization:
             cx = from_squarefree_ideal(I)
             for face in all_faces(cx):
                 expect = profile(to_ideal(link(cx, face), I.ring))
-                assert localization_profile(I, face).profile == expect, (I.format(), face)
+                assert localization_profile(I, face) == expect, (I.format(), face)
 
     def test_non_squarefree_matches_the_polarized_link(self, pool_mixed):
         # F lifts to the polarization vertices F' of its variables; the link
@@ -293,7 +295,7 @@ class TestLocalization:
                     lifted = tuple(v for v, j in enumerate(pol.slot_owner) if j in face)
                     shift = sum(j not in face for j in pol.slot_owner) - (n - k)
                     expect = profile(to_ideal(link(cx, lifted), pol.ideal.ring))
-                    loc = localization_profile(I, face).profile
+                    loc = localization_profile(I, face)
                     assert (loc.depth, loc.dim) == (expect.depth - shift, expect.dim - shift), (
                         I.format(), face,
                     )
@@ -305,8 +307,8 @@ class TestLocalization:
         # S/(x1^2, x1*x2, x3), of depth 0 and dimension 1
         I = parse_generators("x1^2,x1*x2", nvars=3)
         loc = localization_profile(I, (2,))
-        assert (loc.profile.depth, loc.profile.dim, loc.profile.maximal_depth) == (0, 1, True)
-        assert profile(I).depth == 1 == loc.profile.depth + len(loc.face)
+        assert (loc.depth, loc.dim, loc.maximal_depth) == (0, 1, True)
+        assert profile(I).depth == 1 == loc.depth + 1
 
     def test_generator_inside_the_face_is_outside_supp(self):
         # x1 = 1 turns x1^2 into 1: the localization at (x2) is zero

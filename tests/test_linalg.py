@@ -239,21 +239,21 @@ class TestRank:
 
 class TestReducedHomology:
     def test_full_simplex_vanishes(self):
-        assert not reduced_homology(SimplicialComplex(4, ((0, 1, 2, 3),)), QQ).dims
+        assert not reduced_homology(SimplicialComplex(4, ((0, 1, 2, 3),)), QQ)
 
     def test_hollow_triangle_is_circle(self):
+        # the (degree, dim) pairs themselves, not a record around them
         hv = reduced_homology(HOLLOW_TRIANGLE, QQ)
-        assert hv.dims == ((1, 1),)
+        assert hv == ((1, 1),) and type(hv) is tuple
 
     def test_empty_complex(self):
-        hv = reduced_homology(SimplicialComplex(2, ((),)), QQ)
-        assert hv.dims == ((-1, 1),)
+        assert reduced_homology(SimplicialComplex(2, ((),)), QQ) == ((-1, 1),)
 
     def test_projective_plane_depends_on_field(self):
         # H_1(RP2; Z) = Z/2 and H_2 = 0: only characteristic 2 sees homology
         for field in (QQ, FieldSpec(3)):
-            assert reduced_homology(RP2, field).dims == ()
-        assert reduced_homology(RP2, F2).dims == ((1, 1), (2, 1))
+            assert reduced_homology(RP2, field) == ()
+        assert reduced_homology(RP2, F2) == ((1, 1), (2, 1))
 
     @given(complexes, st.sampled_from([QQ, F2, FieldSpec(3)]))
     @settings(max_examples=80)
@@ -261,7 +261,7 @@ class TestReducedHomology:
         hv = reduced_homology(cx, field)
         faces = all_faces(cx)
         chi_faces = sum((-1) ** (len(f) - 1) for f in faces)
-        chi_hom = sum((-1) ** i * h for i, h in hv.dims)
+        chi_hom = sum((-1) ** i * h for i, h in hv)
         assert chi_faces == chi_hom
 
     @given(complexes, st.sampled_from([QQ, F2]))
@@ -271,7 +271,7 @@ class TestReducedHomology:
         cone = SimplicialComplex(
             cx.n + 1, tuple(f + (apex,) for f in cx.facets)
         )
-        assert not reduced_homology(cone, field).dims
+        assert not reduced_homology(cone, field)
 
 
 class TestFacesBySize:
@@ -311,7 +311,7 @@ class TestHomologyOracle:
     def test_random_pool(self, seed):
         for cx in pool(seed, 100):
             for field in FIELDS:
-                assert reduced_homology(cx, field).dims == full_homology(cx, field), (cx, field)
+                assert reduced_homology(cx, field) == full_homology(cx, field), (cx, field)
 
     # even lengths cover every residue mod 3, hence every homotopy type of
     # the cycles' independence complexes (Kozlov)
@@ -321,18 +321,18 @@ class TestHomologyOracle:
         for s in all_faces(cx):
             lk = link(cx, s)
             for field in FIELDS:
-                assert reduced_homology(lk, field).dims == full_homology(lk, field), (s, field)
+                assert reduced_homology(lk, field) == full_homology(lk, field), (s, field)
 
     def test_every_link_of_the_moebius_example(self):
         for s in all_faces(MOBIUS):
             lk = link(MOBIUS, s)
             for field in FIELDS:
-                assert reduced_homology(lk, field).dims == full_homology(lk, field), (s, field)
-        assert reduced_homology(MOBIUS, QQ).dims == ((0, 1), (1, 1))
+                assert reduced_homology(lk, field) == full_homology(lk, field), (s, field)
+        assert reduced_homology(MOBIUS, QQ) == ((0, 1), (1, 1))
 
     def test_three_torsion(self):
         cx = mod3_moore_space()
-        got = {field: reduced_homology(cx, field).dims for field in FIELDS}
+        got = {field: reduced_homology(cx, field) for field in FIELDS}
         assert got == {field: full_homology(cx, field) for field in FIELDS}
         assert got[QQ] == got[F2] == ()
         assert got[FieldSpec(3)] == ((1, 1), (2, 1))
@@ -349,12 +349,12 @@ class TestHomologyOracle:
 
         linalg._core_homology.cache_clear()
         monkeypatch.setattr(linalg, "rank", counted)
-        assert reduced_homology(RP2, field).dims == full_homology(RP2, field)
+        assert reduced_homology(RP2, field) == full_homology(RP2, field)
         assert bool(calls) == falls_back
         # the memo is keyed on the core relabelled in order, so a copy with
         # its vertices spread out is a hit and ranks nothing
         spread = SimplicialComplex(11, tuple(tuple(2 * v for v in f) for f in RP2.facets))
         calls.clear()
         hits = linalg._core_homology.cache_info().hits
-        assert reduced_homology(spread, field).dims == full_homology(RP2, field)
+        assert reduced_homology(spread, field) == full_homology(RP2, field)
         assert linalg._core_homology.cache_info().hits == hits + 1 and not calls
