@@ -21,6 +21,7 @@ from .ideals import (
     parse_field,
     parse_generators,
     polarize,
+    ring,
     tensor_join,
 )
 from .complexes import complex_from_json, parse_edge_list, to_ideal
@@ -210,7 +211,7 @@ def _load_ideal(args, field: FieldSpec, which: str = "") -> MonomialIdeal:
     if ideal_json is not None:
         return ideal_from_json(_read_file(ideal_json), field=field)
     cx = complex_from_json(_read_file(facets_json))
-    return to_ideal(cx, field=field)
+    return to_ideal(cx, ring(cx.n, field))
 
 
 def _read_file(path: str) -> str:

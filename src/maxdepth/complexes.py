@@ -108,16 +108,11 @@ def from_squarefree_ideal(I: MonomialIdeal) -> SimplicialComplex:
     return SimplicialComplex(n, facets)
 
 
-def to_ideal(
-    cx: SimplicialComplex,
-    rng: RingDescriptor | None = None,
-    field: FieldSpec = QQ,
-) -> MonomialIdeal:
+def to_ideal(cx: SimplicialComplex, rng: RingDescriptor | None = None) -> MonomialIdeal:
     """Squarefree ideal generated by the minimal non-faces of the complex:
     the minimal vertex covers of the Alexander dual, the ideal generated by
-    the facet complements."""
-    if rng is None:
-        rng = ring(cx.n, field)
+    the facet complements.  The ring defaults to QQ[x_1..x_n]."""
+    rng = ring(cx.n) if rng is None else rng
     if rng.n != cx.n:
         raise MalformedInputError("ring size does not match vertex count")
     dual = MonomialIdeal(rng, tuple(

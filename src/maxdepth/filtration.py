@@ -5,6 +5,7 @@ empty intersection at the top is encoded by the unit ideal (M_i = M).
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import MalformedInputError, SquarefreeRequiredError, UndefinedModuleError
@@ -16,6 +17,7 @@ from .ideals import (
     associated_primes,
     irreducible_covers,
     meet_covers,
+    ring,
     unit_ideal,
 )
 from .complexes import (
@@ -104,40 +106,38 @@ class LevelIntervals(NamedTuple):
     quotient: DepthInterval | None  # depth of M_i/M_{i-1}, None when zero
 
 
+def _kernel_depth(depth_b: float, depth_c: float, dim_a: int) -> DepthInterval:
+    """Depth Lemma for the kernel A of B -> C -> 0, from the exact depths of
+    B and C (infinite when C = 0): depth A >= min(depth B, depth C + 1), with
+    equality unless depth B = depth C, where only dim A bounds it above."""
+    lo = min(depth_b, depth_c + 1)
+    return DepthInterval(lo, lo if depth_c != depth_b else dim_a)
+
+
 def quotient_depth_intervals(f: DimensionFiltration) -> tuple[LevelIntervals, ...]:
     """Depth-Lemma intervals for each M_i and each quotient M_i/M_{i-1}, in
-    one pass up the levels.
-
-    0 -> M_i -> M -> S/I^(i) -> 0 has exact depths at its ends: depth M_i is
-    depth S/I^(i) + 1 when that is below depth M, and otherwise lies between
-    depth M and dim M_i, the top level up to i holding a prime.  The
-    quotient, nonzero iff level i holds a prime, is M_i when M_{i-1} = 0;
-    otherwise 0 -> M_{i-1} -> M_i -> M_i/M_{i-1} -> 0 puts its depth between
-    min(depth M_i, depth M_{i-1} - 1) and i.
-    """
+    one pass up the levels: M_i, of dimension dim M_i (the top level up to i
+    holding a prime), is the kernel of M -> S/I^(i), and M_i/M_{i-1} =
+    I^(i)/I^(i-1), nonzero iff level i holds a prime and then of dimension
+    i, the kernel of S/I^(i-1) -> S/I^(i), where S/I^(-1) = M."""
     depth_m = profile(f.base).depth
     out = []
-    prev = dim_mi = None  # the interval of M_{i-1}, and dim M_i
+    depth_prev, dim_mi = depth_m, None  # depth S/I^(i-1), and dim M_i
     for lv in f.levels:
-        i = lv.index
         if lv.ass_level:
-            dim_mi = i
-        if not lv.nonzero:
-            mod = None
-        elif lv.ideal.is_unit:  # M_i = M
-            mod = DepthInterval(depth_m, depth_m)
+            dim_mi = lv.index
+        if not lv.nonzero:  # I^(i) = I
+            depth_q = depth_m
+        elif lv.ideal.is_unit:  # S/I^(i) = 0
+            depth_q = math.inf
         else:
-            depth_q = profile(lv.ideal).depth  # depth of M/M_i = S/I^(i)
-            mod = (DepthInterval(depth_q + 1, depth_q + 1) if depth_q < depth_m
-                   else DepthInterval(depth_m, dim_mi))
-        if not lv.ass_level:
-            quot = None
-        elif prev is None:
-            quot = mod
-        else:
-            quot = DepthInterval(max(0, min(mod.lo, prev.lo - 1)), i)
-        out.append(LevelIntervals(i, mod, quot))
-        prev = mod
+            depth_q = profile(lv.ideal).depth
+        out.append(LevelIntervals(
+            lv.index,
+            _kernel_depth(depth_m, depth_q, dim_mi) if lv.nonzero else None,
+            _kernel_depth(depth_prev, depth_q, lv.index) if lv.ass_level else None,
+        ))
+        depth_prev = depth_q
     return tuple(out)
 
 
@@ -282,7 +282,7 @@ def probe_open_question(config: ProbeConfig) -> ProbeReport:
     for _ in range(config.samples):
         n = rng.randint(config.min_vertices, config.max_vertices)
         cx = random_complex(rng, n)
-        prof = profile(to_ideal(cx, field=config.field))
+        prof = profile(to_ideal(cx, ring(cx.n, config.field)))
         if not (prof.maximal_depth and prof.depth > 0):
             continue
         eligible += 1

@@ -93,8 +93,10 @@ def _checks():
         associated_primes(I8) - associated_primes(level3) == rest
     )
     yield "C8 mdepth chain constant 3", mdepth_chain(f8) == (3, 3)
-    iv3 = quotient_depth_intervals(f8)[3].module
-    yield "C8 level-3 depth interval [2,2]", (iv3.lo, iv3.hi) == (2, 2)
+    iv8 = quotient_depth_intervals(f8)
+    yield "C8 level-3 depth interval [2,2]", iv8[3].module == (2, 2)
+    # M/M_3 = S/(p1 cap p2), two 4-planes meeting only at the origin
+    yield "C8 top filtration quotient has depth 1", iv8[4].quotient == (1, 1)
     yield "C8 not sequentially CM", is_sequentially_cm(I8).status == "false"
     yield "C3 sequentially CM", is_sequentially_cm(cycle_edge_ideal(3)).status == "true"
     yield "C5 sequentially CM", is_sequentially_cm(cycle_edge_ideal(5)).status == "true"

@@ -243,28 +243,91 @@ class TestDepthIntervals:
 
     def test_quotient_reads_the_previous_level(self):
         # (x1) cap (x1^2, x3) in 4 variables: depth M = 2, M_2 = (x1)/I
-        # has dim 2 and M/M_2 = S/(x1) depth 3, so depth M_2 is pinned to
-        # [2, 2]; the top quotient's lower end is depth M_2 - 1 = 1
+        # has dim 2 and M/M_2 = S/(x1) depth 3 > depth M, so depth M_2 is
+        # depth M; the top quotient M/M_2 is S/I^(2) = S/(x1) itself
         f = dimension_filtration(parse_generators("x1^2,x1*x3", nvars=4))
+        top = profile(f.level(2).ideal).depth
+        assert top == 3
         assert [(iv.module, iv.quotient) for iv in quotient_depth_intervals(f)] == [
             (None, None),
             (None, None),
             ((2, 2), (2, 2)),
-            ((2, 2), (1, 3)),
+            ((2, 2), (top, top)),
         ]
 
     def test_level_without_primes_between_nonzero_levels(self):
         # (x3) cap (x2, x3^2, x5) in 5 variables: level 3 holds no prime, so
-        # M_3 = M_2, its interval ends at dim M_3 = 2, its quotient is zero,
-        # and the top quotient's lower end reads M_3
+        # M_3 = M_2, its quotient is zero, and the top quotient M/M_3 is
+        # S/I^(3) = S/(x3), read off the level below the top
         f = dimension_filtration(parse_generators("x2*x3,x3^2,x3*x5", nvars=5))
+        top = profile(f.level(3).ideal).depth
+        assert top == 4
         assert [(iv.module, iv.quotient) for iv in quotient_depth_intervals(f)] == [
             (None, None),
             (None, None),
             ((2, 2), (2, 2)),
             ((2, 2), None),
-            ((2, 2), (1, 4)),
+            ((2, 2), (top, top)),
         ]
+
+    def test_cokernel_deeper_than_the_module(self):
+        # depth S/I^(i) > depth M forces depth M_i = depth M, and each
+        # quotient I^(i)/I^(i-1) is read between two cyclic modules
+        f = dimension_filtration(parse_generators("x4^2,x2*x3*x4,x2^2*x4", nvars=4))
+        assert [(iv.module, iv.quotient) for iv in quotient_depth_intervals(f)][1:] == [
+            ((1, 1), (1, 1)),
+            ((1, 1), (2, 2)),
+            ((1, 1), (3, 3)),
+        ]
+        f = dimension_filtration(parse_generators("x1*x4,x3*x4*x5,x3^2*x4,x2*x4^2*x6^2", nvars=6))
+        iv = quotient_depth_intervals(f)
+        assert iv[3].module == iv[4].module == (2, 2)
+
+    def test_point_quotients_decide_seqcm_as_duval(self, pool_low_dim, pool_mixed_dim):
+        # M is seqCM iff every nonzero quotient M_i/M_{i-1} is CM of
+        # dimension i (Stanley, Schenzel): wherever the rule pins every
+        # quotient's depth, that verdict must be Duval's
+        cycles = [cycle_edge_ideal(k, field) for k in range(3, 15) for field in (QQ, F2)]
+        wide, not_seqcm = [], 0
+        for I in pool_low_dim + pool_mixed_dim + cycles:
+            quots = [iv for iv in quotient_depth_intervals(dimension_filtration(I)) if iv.quotient]
+            if any(iv.quotient.lo != iv.quotient.hi for iv in quots):
+                wide.append(I)
+                continue
+            levelled = all(iv.quotient.lo == iv.index for iv in quots)
+            assert levelled == (is_sequentially_cm(I).status == "true"), I.format()
+            not_seqcm += not levelled
+        assert not_seqcm == 260
+        # two complexes of pool_mixed_dim, each over both fields, keep an
+        # equal-depth level: 0 -> M_i/M_{i-1} -> S/I^(i-1) -> S/I^(i) -> 0
+        # with depth S/I^(i-1) = depth S/I^(i)
+        assert len(wide) == 4
+        assert all(I in pool_mixed_dim for I in wide)
+        assert parse_generators(
+            "x4*x6*x7,x3*x6*x7,x1*x4*x6,x1*x3*x6,x1*x2*x4,x2*x4*x5*x7,x2*x3*x5*x7,x1*x2*x3*x5",
+            nvars=7,
+        ) in wide
+
+    def test_point_levels_obey_the_depth_lemma(self, pool_mixed):
+        # every interval of this non-squarefree pool is a point; the rule
+        # never reads 0 -> M_{i-1} -> M_i -> M_i/M_{i-1} -> 0, so those
+        # exact depths are checked against that sequence's Depth Lemma
+        def lemma_holds(a, b, c):
+            return a >= min(b, c + 1) and b >= min(a, c) and c >= min(a - 1, b)
+
+        for I in pool_mixed:
+            if I.is_unit:
+                continue
+            f = dimension_filtration(I)
+            iv = quotient_depth_intervals(f)
+            d = len(f.levels) - 1
+            below = profile(f.level(d - 1).ideal if d else I).depth
+            assert iv[d].quotient == (below, below), I.format()
+            assert all(x.lo == x.hi for lv in iv for x in lv[1:] if x is not None), I.format()
+            for prev, cur in zip(iv, iv[1:]):
+                trio = (prev.module, cur.module, cur.quotient)
+                if None not in trio:
+                    assert lemma_holds(*(x.lo for x in trio)), I.format()
 
     def test_zero_levels_have_no_interval(self):
         iv = quotient_depth_intervals(dimension_filtration(c8_ideal()))

@@ -1,8 +1,10 @@
 """The package's public surface: every name `maxdepth/__init__.py` imports is
 listed in README's "Library" section or has a caller in src/maxdepth outside
-its own module.  And no module binds a mutable container at top level."""
+its own module.  And no module binds a mutable container at top level,
+imports a package from outside the standard library or asserts."""
 import ast
 import re
+import sys
 from pathlib import Path
 
 import maxdepth
@@ -83,13 +85,17 @@ def module_level_containers(source):
     )
 
 
+def engine_lines(check):
+    """{file: lines} for each engine module in which `check` flags lines."""
+    found = {p.name: check(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    return {name: lines for name, lines in found.items() if lines}
+
+
 def test_no_module_level_mutable_container():
     # the engine's memos are functools.lru_cache on pure functions, read with
     # cache_info(); a module-level container would be state that outlives the
     # call and that no cache_clear() reaches
-    found = {p.name: module_level_containers(p.read_text(encoding="utf-8"))
-             for p in sorted(PACKAGE.glob("*.py"))}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert engine_lines(module_level_containers) == {}
 
 
 def test_container_check_flags_synthetic_source():
@@ -114,3 +120,64 @@ def test_container_check_flags_synthetic_source():
         "    attr = []",
     ])
     assert module_level_containers(source) == [2, 3, 4, 5, 6, 7, 8, 9, 11]
+
+
+def non_stdlib_imports(source):
+    """Lines of the absolute imports of a package outside the standard library."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] not in sys.stdlib_module_names for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_engine_is_stdlib_only():
+    # `dependencies = []` is a feature: the engine imports nothing that
+    # pip would have to install
+    assert engine_lines(non_stdlib_imports) == {}
+
+
+def test_stdlib_check_flags_synthetic_source():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import numpy as np",
+        "import os.path, sympy.matrices",
+        "from hypothesis import given",
+        "from . import ideals",
+        "from .linalg import rank",
+        "def f():",
+        "    import scipy",
+        "    import random",
+    ])
+    assert non_stdlib_imports(source) == [2, 3, 4, 8]
+
+
+def assert_lines(source):
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_no_assert_in_the_engine():
+    # always-on checks raise InternalCheckError; `assert` is a bare
+    # AssertionError, and python -O strips it
+    assert engine_lines(assert_lines) == {}
+
+
+def test_assert_check_flags_synthetic_source():
+    source = "\n".join([
+        "assert True",
+        "def f(x):",
+        "    assert x, 'message'",
+        "    return x",
+        "class C:",
+        "    def g(self):",
+        "        if self:",
+        "            assert self is not None",
+        "note = 'assert False'",
+    ])
+    assert assert_lines(source) == [1, 3, 8]
