@@ -13,7 +13,6 @@ from operator import and_
 from typing import NamedTuple
 
 from .errors import (
-    CapExceededError,
     MalformedInputError,
     NotInSupportError,
     PreconditionError,
@@ -26,9 +25,9 @@ from .ideals import (
     MonomialIdeal,
     QQ,
     RingDescriptor,
+    check_vertex_cap,
     irreducible_covers,
     json_int,
-    limits,
     ring,
 )
 
@@ -102,8 +101,7 @@ def from_squarefree_ideal(I: MonomialIdeal) -> SimplicialComplex:
             "ideal is not squarefree; polarize before building the complex"
         )
     n = I.ring.n
-    if n > limits().max_vertices:
-        raise CapExceededError(f"{n} vertices exceeds cap {limits().max_vertices}")
+    check_vertex_cap(n)
     facets = tuple(tuple(v for v in range(n) if (v, 1) not in c) for c in irreducible_covers(I))
     return SimplicialComplex(n, facets)
 
@@ -111,10 +109,12 @@ def from_squarefree_ideal(I: MonomialIdeal) -> SimplicialComplex:
 def to_ideal(cx: SimplicialComplex, rng: RingDescriptor | None = None) -> MonomialIdeal:
     """Squarefree ideal generated by the minimal non-faces of the complex:
     the minimal vertex covers of the Alexander dual, the ideal generated by
-    the facet complements.  The ring defaults to QQ[x_1..x_n]."""
+    the facet complements.  The ring defaults to QQ[x_1..x_n].  The vertex
+    cap is checked before the search."""
     rng = ring(cx.n) if rng is None else rng
     if rng.n != cx.n:
         raise MalformedInputError("ring size does not match vertex count")
+    check_vertex_cap(cx.n)
     dual = MonomialIdeal(rng, tuple(
         Monomial(tuple(0 if v in f else 1 for v in range(cx.n))) for f in cx.facets
     ))

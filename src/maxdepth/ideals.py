@@ -51,6 +51,13 @@ def limited(**caps):
         _limits.reset(token)
 
 
+def check_vertex_cap(n: int) -> None:
+    """Raise CapExceededError if a complex on n vertices exceeds the cap in
+    force; callers check it before the work it bounds."""
+    if n > limits().max_vertices:
+        raise CapExceededError(f"{n} vertices exceeds cap {limits().max_vertices}")
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

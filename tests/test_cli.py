@@ -353,3 +353,14 @@ class TestColdStart:
             [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+class TestScripts:
+    def test_depth_survey_runs(self):
+        src = Path(maxdepth.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, str(src.parent / "scripts" / "depth_survey.py"), "--samples", "50"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("samples: 50\nmaximal_depth: ") and "histogram:" in done.stdout

@@ -89,6 +89,12 @@ class TestToIdeal:
         I = cycle_edge_ideal(8)
         assert to_ideal(from_squarefree_ideal(I), I.ring) == I
 
+    def test_vertex_cap_checked_before_the_search(self):
+        # the cover search of the Alexander dual grows with the vertex count
+        cx = SimplicialComplex(4, ((0, 1), (2, 3)))
+        with limited(max_vertices=3), pytest.raises(CapExceededError, match="4 vertices exceeds cap 3"):
+            to_ideal(cx)
+
     @given(complexes)
     @settings(max_examples=80)
     def test_roundtrips_both_ways(self, cx):

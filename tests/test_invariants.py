@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from functools import reduce
 from operator import and_
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxdepth.errors import (
+    CapExceededError,
     NotInSupportError,
     PreconditionError,
     UndefinedModuleError,
@@ -181,6 +183,18 @@ class TestProfile:
         # GF(2) is the slowest, at about 2 s
         for I in pool_mixed:
             assert profile(I).depth == I.ring.n - projdim(I), I.format()
+
+    def test_vertex_cap_checked_before_polarizing(self):
+        # the polarized ring of x1^200000 would hold 200001 variables
+        I = parse_generators("x1^200000,x1*x2")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="200001 vertices exceeds cap 24"):
+                profile(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestHochsterTable:

@@ -1,16 +1,22 @@
-"""The package's public surface: every name `maxdepth/__init__.py` imports is
-listed in README's "Library" section or has a caller in src/maxdepth outside
-its own module.  And no module binds a mutable container at top level,
-imports a package from outside the standard library or asserts."""
+"""The package's public surface and the engine's design rules.
+
+Every name `maxdepth/__init__.py` imports is listed in README's "Library"
+section or has a caller in src/maxdepth outside its own module.  Every rule
+in RULES holds on every engine file in its scope, and every name the
+benchmark tracer wraps still exists."""
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import maxdepth
 
 PACKAGE = Path(maxdepth.__file__).parent
-README = PACKAGE.parents[1] / "README.md"
+REPO = PACKAGE.parents[1]
+README = REPO / "README.md"
 
 
 def exported():
@@ -85,17 +91,20 @@ def module_level_containers(source):
     )
 
 
-def engine_lines(check):
-    """{file: lines} for each engine module in which `check` flags lines."""
-    found = {p.name: check(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+def engine_lines(check, files):
+    """{file: lines} for each engine file, named by its path under the
+    package, that fully matches the regex `files` and in which `check`
+    flags lines."""
+    paths = {p.relative_to(PACKAGE).as_posix(): p for p in sorted(PACKAGE.rglob("*.py"))}
+    found = {name: check(p.read_text(encoding="utf-8")) for name, p in paths.items()
+             if re.fullmatch(files, name)}
     return {name: lines for name, lines in found.items() if lines}
 
 
-def test_no_module_level_mutable_container():
-    # the engine's memos are functools.lru_cache on pure functions, read with
-    # cache_info(); a module-level container would be state that outlives the
-    # call and that no cache_clear() reaches
-    assert engine_lines(module_level_containers) == {}
+def grep(pattern):
+    """A check that flags the lines on which the regex `pattern` matches."""
+    rx = re.compile(pattern)
+    return lambda source: [i for i, line in enumerate(source.splitlines(), 1) if rx.search(line)]
 
 
 def test_container_check_flags_synthetic_source():
@@ -137,12 +146,6 @@ def non_stdlib_imports(source):
     return sorted(lines)
 
 
-def test_engine_is_stdlib_only():
-    # `dependencies = []` is a feature: the engine imports nothing that
-    # pip would have to install
-    assert engine_lines(non_stdlib_imports) == {}
-
-
 def test_stdlib_check_flags_synthetic_source():
     source = "\n".join([
         "from __future__ import annotations",
@@ -162,12 +165,6 @@ def assert_lines(source):
     return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
 
 
-def test_no_assert_in_the_engine():
-    # always-on checks raise InternalCheckError; `assert` is a bare
-    # AssertionError, and python -O strips it
-    assert engine_lines(assert_lines) == {}
-
-
 def test_assert_check_flags_synthetic_source():
     source = "\n".join([
         "assert True",
@@ -181,3 +178,100 @@ def test_assert_check_flags_synthetic_source():
         "note = 'assert False'",
     ])
     assert assert_lines(source) == [1, 3, 8]
+
+
+# (rule, check, files, why): `check` maps a source to the lines that break
+# the rule, on each engine file whose path under src/maxdepth fully matches
+# the regex `files`
+ALL = r".*"
+RULES = (
+    ("no-module-level-container", module_level_containers, ALL,
+     "memos are lru_caches on pure functions; no cache_clear() reaches a module container"),
+    ("stdlib-only", non_stdlib_imports, ALL,
+     "`dependencies = []`: the engine imports nothing that pip would have to install"),
+    ("no-assert", assert_lines, ALL,
+     "always-on checks raise InternalCheckError; python -O strips an assert"),
+    ("no-global", grep(r"^\s*global\s"), ALL,
+     "the caps live in one scoped Limits value (ideals.limited), not in module state"),
+    ("one-intersection", grep(r"\b(intersect|intersect_all|prime_ideal)\("), ALL,
+     "intersections go through ideals.meet_covers; pairwise lcms are tests/intersect_oracle.py"),
+    ("one-cover-search", grep(r"(^|[^A-Za-z0-9_])_[a-z_]*(covers|transversals)\b"),
+     r"(?!ideals\.py$).*",
+     "the search and its cache stay private to ideals.py; others ask irreducible_covers"),
+    ("one-face-walk", grep(r"all_faces"), ALL,
+     "complexes.face_meets enumerates faces; all_faces is tests/faces_oracle.py"),
+    ("att-from-ass-and-seqcm", grep(r"minimal_primes_of|ATT_NOTES|min-att"), ALL,
+     "a claim lists Ass^i; the min-Att branch could never fire (it forces depth = dim)"),
+    ("localization-by-substitution", grep(r"\b(link|to_ideal)\(|SquarefreeRequiredError"),
+     r"invariants\.py",
+     "localization_profile sets x_F = 1 on any ideal, not through link F and the dual"),
+    ("results-are-plain-values",
+     grep(r"\b(HomologyVector|AttReport|PsuppEntry|LocalizationProfile)\b"), ALL,
+     "results are the values themselves, not records repeating the caller's arguments"),
+    ("no-dataclasses", grep(r"^\s*(import|from)\s+dataclasses\b"), ALL,
+     "every CLI call is a fresh interpreter, and dataclasses loads inspect; use named tuples"),
+)
+
+
+@pytest.mark.parametrize("rule, check, files, why", RULES, ids=[row[0] for row in RULES])
+def test_engine_keeps_rule(rule, check, files, why):
+    assert engine_lines(lambda source: [0], files), "no engine file in scope"
+    assert engine_lines(check, files) == {}, why
+
+
+# a violation of each pattern rule and the lines that break it; the AST
+# rules have theirs in the synthetic-source tests above
+VIOLATIONS = {
+    "no-global": ("def f():\n    global X\n# global note", [2]),
+    "one-intersection": ("intersect(I, J)\nintersect_all(Is)\nprime_ideal(r, p)\nmeet_covers(I, cs)",
+                         [1, 2, 3]),
+    "one-cover-search": ("from .ideals import _tight_covers\nirreducible_covers(I)\n_transversals(I)",
+                         [1, 3]),
+    "one-face-walk": ("all_faces(cx)\nface_meets(masks)", [1]),
+    "att-from-ass-and-seqcm": ("minimal_primes_of(I)\nATT_NOTES = ()\n'depth-min-att'\natt_report(I)",
+                               [1, 2, 3]),
+    "localization-by-substitution": ("link(cx, F)\nto_ideal(cx)\nSquarefreeRequiredError\nos.unlink(p)",
+                                     [1, 2, 3]),
+    "results-are-plain-values": ("AttReport(c)\nHomologyVector\nPsuppEntry\nLocalizationProfile\n"
+                                 "ModuleProfile", [1, 2, 3, 4]),
+    "no-dataclasses": ("import dataclasses\nfrom dataclasses import field\nif 1:\n"
+                       "    import dataclasses as dc\nimport dataclasses_json", [1, 2, 4]),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(VIOLATIONS))
+def test_pattern_rule_flags_its_violation(rule):
+    check = next(row[1] for row in RULES if row[0] == rule)
+    source, lines = VIOLATIONS[rule]
+    assert check(source) == lines
+
+
+def test_every_pattern_rule_has_a_violation():
+    ast_rules = {"no-module-level-container", "stdlib-only", "no-assert"}
+    assert set(VIOLATIONS) == {row[0] for row in RULES} - ast_rules
+
+
+# an engine rule is a row of RULES, which tier-1 runs, not a grep in CI
+engine_greps = grep(r"\bgrep\b.*\bsrc/maxdepth")
+
+
+def test_workflow_greps_no_engine_file():
+    assert engine_greps((REPO / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")) == []
+
+
+def test_workflow_check_flags_synthetic_workflow():
+    workflow = ("run: python -m pytest -q\nrun: grep -rn 'global' --include='*.py' src/maxdepth\n"
+                "run: grep -n 'link(' src/maxdepth/invariants.py\nrun: maxdepth regress | grep passed")
+    assert engine_greps(workflow) == [2, 3]
+
+
+def test_every_traced_name_resolves():
+    # TRACED is read from perfbench/tracer.py's source: installing the
+    # tracer would rebind the engine's functions for the rest of the session
+    tree = ast.parse((REPO / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "TRACED")
+    names = [(module, fn) for module, fns in traced.items() for fn in fns]
+    missing = [f"{module}.{fn}" for module, fn in names
+               if not callable(getattr(importlib.import_module(f"maxdepth.{module}"), fn, None))]
+    assert len(names) > 10 and missing == []
