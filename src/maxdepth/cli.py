@@ -241,8 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     probe = ProbeConfig()
     ap.add_argument(
         "--max-vertices", type=int, default=None,
-        help="largest vertex count of a Stanley-Reisner complex, after polarization "
-        f"(default {Limits().max_vertices}); for probe, the largest sampled vertex count "
+        help="largest vertex count of a Stanley-Reisner complex or a polarization "
+        f"(default {Limits().max_vertices}; polarize above it exits 3); for probe, the "
+        "largest sampled vertex count "
         f"(default {probe.max_vertices})",
     )
     ap.add_argument(

@@ -24,7 +24,8 @@ from .errors import (
 
 class Limits(NamedTuple):
     """Caps on a computation: the nodes one vertex cover search may visit,
-    and the vertex count of a Stanley-Reisner complex (after polarization)."""
+    and the vertex count of a Stanley-Reisner complex or a polarization,
+    checked before either is built."""
 
     search_cap: int = 2 ** 24
     max_vertices: int = 24
@@ -185,10 +186,31 @@ def _graded_lex_key(m: Monomial):
 
 
 def _minimal_gens(gens: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
-    kept: list[Monomial] = []
-    for g in sorted(set(gens), key=_graded_lex_key):
-        if not any(h.divides(g) for h in kept):
+    """The minimal monomials among `gens`, sorted graded-lex: each one is
+    kept unless a monomial kept before it divides it.  A proper divisor has
+    lower degree, so it was decided before, and a discarded one has a kept
+    divisor.
+
+    The test runs on exponent vectors packed into one int, one field of
+    w = bit_length(max exponent) + 1 bits per variable, so every exponent
+    fits below the top bit of its field, the guard bit.  With G the guard
+    bits, each field of (B | G) - A holds 2^(w-1) + b_k - a_k, which lies
+    in [1, 2^w): no field borrows from the next, and its guard bit is set
+    exactly when a_k <= b_k.  So x^a divides x^b iff ((B | G) - A) & G == G.
+    """
+    ordered = sorted(set(gens), key=_graded_lex_key)
+    if len(ordered) < 2:
+        return tuple(ordered)
+    w = max(max(g.exponents) for g in ordered).bit_length() + 1
+    shifts = range(0, len(ordered[0].exponents) * w, w)
+    guard = sum(1 << (s + w - 1) for s in shifts)
+    kept, packed = [], []
+    for g in ordered:
+        b = sum(map(lshift, g.exponents, shifts))
+        bg = b | guard
+        if not any((bg - a) & guard == guard for a in packed):
             kept.append(g)
+            packed.append(b)
     return tuple(kept)
 
 
@@ -346,47 +368,20 @@ def meet_covers(J: MonomialIdeal, covers) -> MonomialIdeal:
     the zero ideal, and an empty list gives J.
 
     J cap q_C is generated by the lcms of the generators g of J with the
-    x_k^j.  A g inside q_C (g_k >= j for some (k, j) in C) stays as it is,
-    and it stays minimal: a generator of J cap q_C dividing it lies in J,
-    so it is a multiple of a generator of J and that can only be g.  Any
-    other g is raised at each (k, j) of C to g + (j - g_k) e_k.  Only the
-    raised candidates need the divisibility test, taken in ascending degree
-    against the generators kept so far: a proper divisor has lower degree,
-    so it was decided before, and a discarded one has a kept divisor.
-
-    The test runs on exponent vectors packed into one int, one field of
-    w = bit_length(max exponent) + 1 bits per variable, the maximum taken
-    over J and the covers.  No exponent met on the way exceeds it (a raise
-    sets g_k to a power j of a cover), so it fits below the top bit of its
-    field, the guard bit.  With G the guard bits, each field of (B | G) - A
-    holds 2^(w-1) + b_k - a_k, which lies in [1, 2^w): no field borrows
-    from the next, and its guard bit is set exactly when a_k <= b_k.  So
-    x^a divides x^b iff ((B | G) - A) & G == G.
+    x_k^j: a g inside q_C (g_k >= j for some (k, j) in C) is its own lcm,
+    and any other g is raised at each (k, j) of C to g + (j - g_k) e_k.
+    The constructor keeps the minimal ones.
     """
-    n = J.ring.n
-    top = max((e for g in J.gens for e in g.exponents), default=0)
-    w = max([top] + [j for c in covers for _, j in c]).bit_length() + 1
-    shifts = range(0, n * w, w)
-    mask = (1 << w) - 1
-    guard = sum(1 << (s + w - 1) for s in shifts)
-    gens = [(g.degree, sum(map(lshift, g.exponents, shifts))) for g in J.gens]
     for c in covers:
-        pairs = [(k * w, j) for k, j in c]
-        kept, raised = [], set()
-        for deg, a in gens:
-            at = [(s, j, (a >> s) & mask) for s, j in pairs]
-            if any(e >= j for _, j, e in at):
-                kept.append((deg, a))
+        gens = []
+        for g in J.gens:
+            e = g.exponents
+            if any(e[k] >= j for k, j in c):
+                gens.append(g)
             else:
-                raised.update((deg + j - e, a + ((j - e) << s)) for s, j, e in at)
-        for deg, b in sorted(raised):
-            bg = b | guard
-            if not any((bg - a) & guard == guard for _, a in kept):
-                kept.append((deg, b))
-        gens = kept
-    return MonomialIdeal(J.ring, tuple(
-        Monomial(tuple((a >> s) & mask for s in shifts)) for _, a in gens
-    ))
+                gens.extend(Monomial(e[:k] + (j,) + e[k + 1:]) for k, j in c)
+        J = MonomialIdeal(J.ring, tuple(gens))
+    return J
 
 
 def primary_decomposition(I: MonomialIdeal) -> tuple[tuple[PrimeSupport, MonomialIdeal], ...]:
@@ -407,11 +402,13 @@ class Polarization(NamedTuple):
 
 
 def polarize(I: MonomialIdeal) -> Polarization:
-    """Squarefree-ification x_i^k -> x_{i,1}...x_{i,k}; shifts depth by added_vars."""
+    """Squarefree-ification x_i^k -> x_{i,1}...x_{i,k}; shifts depth by
+    added_vars.  The vertex cap is checked before the new ring is built."""
     if I.is_unit:
         raise UndefinedModuleError("cannot polarize the unit ideal")
     rng = I.ring
     slots = [max(1, e) for e in I.lcm_of_gens().exponents]
+    check_vertex_cap(sum(slots))
     names: list[str] = []
     owner: list[int] = []
     start = [0] * rng.n

@@ -24,7 +24,6 @@ from .ideals import (
     PrimeSupport,
     RingDescriptor,
     associated_primes,
-    check_vertex_cap,
     polarize,
     variable,
 )
@@ -102,12 +101,11 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
 
 def _shifted_table(I: MonomialIdeal) -> HochsterTable:
     """Table of S/I: non-squarefree ideals go through polarization, whose
-    table is shifted down by the number of added variables.  The vertex cap
-    is checked on the polarized vertex count before that ring is built."""
+    table is shifted down by the number of added variables.  `polarize`
+    checks the vertex cap before it builds the polarized ring."""
     field = I.ring.field_spec
     if I.is_squarefree:
         return complex_table(from_squarefree_ideal(I), field)
-    check_vertex_cap(sum(max(1, e) for e in I.lcm_of_gens().exponents))
     pol = polarize(I)
     raw = complex_table(from_squarefree_ideal(pol.ideal), field)
     a = pol.added_vars

@@ -1,16 +1,28 @@
-"""Monomial-ideal intersection by pairwise lcms: the independent oracle for
-`ideals.meet_covers`, the engine's one intersection route."""
+"""Monomial-ideal intersection by pairwise lcms, minimalized by a pairwise
+`Monomial.divides` scan: the independent oracles for `ideals.meet_covers`,
+the engine's one intersection route, and for the packed divisibility test
+of the `MonomialIdeal` constructor."""
 from functools import reduce
 
 from maxdepth.errors import RingMismatchError
 from maxdepth.ideals import MonomialIdeal, unit_ideal, variable
 
 
+def minimal_gens(gens):
+    """The minimal monomials among `gens`, sorted graded-lex: each one is
+    kept unless a monomial kept before it divides it."""
+    kept = []
+    for g in sorted(set(gens), key=lambda m: (m.degree, m.exponents)):
+        if not any(h.divides(g) for h in kept):
+            kept.append(g)
+    return tuple(kept)
+
+
 def intersect(I, J):
     """Pairwise-lcm intersection of monomial ideals."""
     if I.ring != J.ring:
         raise RingMismatchError("operands live in different rings")
-    return MonomialIdeal(I.ring, tuple(u.lcm(v) for u in I.gens for v in J.gens))
+    return MonomialIdeal(I.ring, minimal_gens(u.lcm(v) for u in I.gens for v in J.gens))
 
 
 def intersect_all(rng, ideals):

@@ -299,6 +299,13 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "--max-vertices=4", "analyze", c9)
         assert code == 3
 
+    def test_polarize_keeps_the_vertex_cap(self, capsys):
+        # x1^n polarizes to n vertices; the default cap is 24
+        code, out, err = run_cli(capsys, "polarize", "--gens=x1^30")
+        assert code == 3 and "30 vertices exceeds cap 24" in err and out == "", err
+        code, out, err = run_cli(capsys, "polarize", "--gens=x1^24")
+        assert code == 0 and out.startswith("vars: (x1_1, ") and "x1_24)" in out, err
+
     def test_vertex_cap_checked_before_search_cap(self, capsys):
         # with both caps exceeded the vertex cap speaks first, on squarefree
         # and on polarized input

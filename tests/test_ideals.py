@@ -52,7 +52,7 @@ from maxdepth.regress import C8_PRIMES, c8_ideal
 from colon_oracle import colon, colon_search_ass
 from conftest import minimal_primes_of, random_monomial_ideal
 from cover_oracle import tight_minimal_covers
-from intersect_oracle import intersect, intersect_all, prime_ideal
+from intersect_oracle import intersect, intersect_all, minimal_gens, prime_ideal
 
 
 def mk(n, *exps):
@@ -188,6 +188,42 @@ class TestMeetCovers:
                 for _ in range(rng.randint(0, 4))
             ]
             self.assert_meets(J, covers)
+
+
+class TestMinimalGens:
+    """The constructor's packed divisibility test against the pairwise
+    `divides` scan of `intersect_oracle.minimal_gens`."""
+
+    # the largest exponent sets the field width: 2^k - 1 and 2^k for
+    # k = 1..4 sit on either side of a width step
+    TOPS = (0, 1, 2, 3, 4, 7, 8, 15, 16, 200000)
+
+    def assert_minimal(self, rng, gens):
+        assert MonomialIdeal(rng, tuple(gens)).gens == minimal_gens(gens), gens
+
+    def test_random_lists(self):
+        rng = random.Random(26)
+        for _ in range(1500):
+            n = rng.randint(1, 5)
+            top = rng.choice(self.TOPS)
+            near = (0, 0, 1, max(top - 1, 0), top, top)
+            gens = [
+                Monomial(tuple(rng.choice(near + (rng.randint(0, top),)) for _ in range(n)))
+                for _ in range(rng.randint(0, 8))
+            ]
+            gens += rng.sample(gens, rng.randint(0, len(gens)))  # duplicates
+            if rng.random() < 0.1:
+                gens.append(Monomial((0,) * n))
+            rng.shuffle(gens)
+            self.assert_minimal(ring(n), gens)
+
+    def test_pool_mixed_shuffled(self, pool_mixed):
+        rng = random.Random(27)
+        for I in pool_mixed:
+            gens = list(I.gens) + [g.lcm(h) for g in I.gens for h in I.gens]
+            rng.shuffle(gens)
+            self.assert_minimal(I.ring, gens)
+            assert MonomialIdeal(I.ring, tuple(gens)) == I
 
 
 class TestColon:

@@ -180,6 +180,20 @@ def test_assert_check_flags_synthetic_source():
     assert assert_lines(source) == [1, 3, 8]
 
 
+def lshift_uses(source):
+    """Lines that read `lshift` outside the function `_minimal_gens`, the
+    one packed divisibility test."""
+    def walk(node, allowed):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, allowed or child.name == "_minimal_gens")
+                continue
+            if not allowed and "lshift" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                yield child.lineno
+            yield from walk(child, allowed)
+    return sorted(set(walk(ast.parse(source), False)))
+
+
 # (rule, check, files, why): `check` maps a source to the lines that break
 # the rule, on each engine file whose path under src/maxdepth fully matches
 # the regex `files`
@@ -210,6 +224,9 @@ RULES = (
      "results are the values themselves, not records repeating the caller's arguments"),
     ("no-dataclasses", grep(r"^\s*(import|from)\s+dataclasses\b"), ALL,
      "every CLI call is a fresh interpreter, and dataclasses loads inspect; use named tuples"),
+    ("one-divisibility-test", lshift_uses, ALL,
+     "ideals._minimal_gens, behind the MonomialIdeal constructor, packs exponents to test "
+     "divisibility; the plain scan is tests/intersect_oracle.py"),
 )
 
 
@@ -219,8 +236,8 @@ def test_engine_keeps_rule(rule, check, files, why):
     assert engine_lines(check, files) == {}, why
 
 
-# a violation of each pattern rule and the lines that break it; the AST
-# rules have theirs in the synthetic-source tests above
+# a violation of each rule and the lines that break it, except the three
+# AST rules that have theirs in the synthetic-source tests above
 VIOLATIONS = {
     "no-global": ("def f():\n    global X\n# global note", [2]),
     "one-intersection": ("intersect(I, J)\nintersect_all(Is)\nprime_ideal(r, p)\nmeet_covers(I, cs)",
@@ -236,6 +253,20 @@ VIOLATIONS = {
                                  "ModuleProfile", [1, 2, 3, 4]),
     "no-dataclasses": ("import dataclasses\nfrom dataclasses import field\nif 1:\n"
                        "    import dataclasses as dc\nimport dataclasses_json", [1, 2, 4]),
+    "one-divisibility-test": ("\n".join([
+        "from operator import lshift",
+        "def _minimal_gens(gens, shifts):",
+        "    pack = lambda g: sum(map(lshift, g, shifts))",
+        "    return [pack(g) for g in gens]",
+        "def meet_covers(J, covers, shifts):",
+        "    gens = [sum(map(lshift, g, shifts)) for g in J]",
+        "    def raise_at(a, s, d):",
+        "        return a + operator.lshift(d, s)",
+        "    return gens",
+        "packed = lshift(1, 2)",
+        "def lshift_note():",
+        "    return 1 << 2",
+    ]), [6, 8, 10]),
 }
 
 
