@@ -320,9 +320,9 @@ def _dispatch(args) -> tuple[int, str]:
         elif cmd == "polarize":
             pol = polarize(I)
             out = {
-                "vars": list(pol.ideal.ring.names),
-                "gens": [g.format(pol.ideal.ring) for g in pol.ideal.gens],
-                "added_vars": pol.added_vars,
+                "vars": list(pol.ring.names),
+                "gens": [g.format(pol.ring) for g in pol.gens],
+                "added_vars": pol.ring.n - I.ring.n,
             }
         elif cmd == "localize":
             try:

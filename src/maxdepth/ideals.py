@@ -270,6 +270,12 @@ def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
     The polarization vertex x_{i,j} is the pair (i, j), so the generator x^a
     is the edge {(i, j) : 1 <= j <= a_i}.  A generator g is tight for the
     pair (i, j) of C when g_i = j and its edge misses every other pair of C.
+    Only a pair (i, e) where e is the exponent of x_i in some generator can
+    have one, and a branch through any other pair is cut unvisited, so the
+    vertices are those pairs alone and the edge of g is {(i, e) : e <= g_i}:
+    pol I' for I' with each variable's exponents replaced by their ranks,
+    labelled by I's exponents.  It visits the same nodes as on all of pol I,
+    and its size does not grow with the exponents.
     The search branches on the vertices of the first uncovered edge in
     sorted order; branch v forbids the siblings tried before it, and is cut
     when a pair of the grown set has no tight generator left.  Growing the
@@ -282,15 +288,10 @@ def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
     nodes.  The cache is keyed on the cap, so a lowered cap is never
     bypassed; call it through `irreducible_covers`, which supplies the cap.
     """
-    edges = [
-        frozenset((i, j) for i, e in enumerate(g.exponents) for j in range(1, e + 1))
-        for g in I.gens
-    ]
-    tight: dict[tuple[int, int], list[frozenset]] = {}  # (i, j) -> edges with g_i = j
-    for g, f in zip(I.gens, edges):
-        for i, e in enumerate(g.exponents):
-            if e:
-                tight.setdefault((i, e), []).append(f)
+    pairs = {(i, e) for g in I.gens for i, e in enumerate(g.exponents) if e}
+    edges = [frozenset((i, e) for i, e in pairs if e <= g.exponents[i]) for g in I.gens]
+    # (i, e) -> the edges of the generators with g_i = e
+    tight = {(i, e): [f for g, f in zip(I.gens, edges) if g.exponents[i] == e] for i, e in pairs}
     results: list[frozenset] = []
     visited = 0
 
@@ -306,7 +307,7 @@ def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
                 tried = set(forbidden)
                 for v in sorted(e - forbidden):
                     grown = chosen | {v}
-                    if all(any(f & grown == {u} for f in tight.get(u, ())) for u in grown):
+                    if all(any(f & grown == {u} for f in tight[u]) for u in grown):
                         rec(grown, frozenset(tried))
                     tried.add(v)
                 return
@@ -395,22 +396,16 @@ def primary_decomposition(I: MonomialIdeal) -> tuple[tuple[PrimeSupport, Monomia
     return tuple((rad, meet_covers(unit_ideal(I.ring), groups[rad])) for rad in sorted(groups))
 
 
-class Polarization(NamedTuple):
-    ideal: MonomialIdeal
-    added_vars: int
-    slot_owner: tuple[int, ...]  # new variable index -> original variable index
-
-
-def polarize(I: MonomialIdeal) -> Polarization:
-    """Squarefree-ification x_i^k -> x_{i,1}...x_{i,k}; shifts depth by
-    added_vars.  The vertex cap is checked before the new ring is built."""
+def polarize(I: MonomialIdeal) -> MonomialIdeal:
+    """Squarefree-ification x_i^k -> x_{i,1}...x_{i,k}; shifts depth by the
+    number of added variables, `polarize(I).ring.n - I.ring.n`.  The vertex
+    cap is checked before the new ring is built."""
     if I.is_unit:
         raise UndefinedModuleError("cannot polarize the unit ideal")
     rng = I.ring
     slots = [max(1, e) for e in I.lcm_of_gens().exponents]
     check_vertex_cap(sum(slots))
     names: list[str] = []
-    owner: list[int] = []
     start = [0] * rng.n
     for i, s in enumerate(slots):
         start[i] = len(names)
@@ -418,7 +413,6 @@ def polarize(I: MonomialIdeal) -> Polarization:
             names.append(rng.names[i])
         else:
             names.extend(f"{rng.names[i]}_{j + 1}" for j in range(s))
-        owner.extend([i] * s)
     new_ring = RingDescriptor(tuple(names), rng.field_spec)
     new_gens = []
     for g in I.gens:
@@ -427,11 +421,7 @@ def polarize(I: MonomialIdeal) -> Polarization:
             for j in range(e):
                 exps[start[i] + j] = 1
         new_gens.append(Monomial(tuple(exps)))
-    return Polarization(
-        MonomialIdeal(new_ring, tuple(new_gens)),
-        new_ring.n - rng.n,
-        tuple(owner),
-    )
+    return MonomialIdeal(new_ring, tuple(new_gens))
 
 
 def tensor_join(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -107,8 +107,8 @@ def _shifted_table(I: MonomialIdeal) -> HochsterTable:
     if I.is_squarefree:
         return complex_table(from_squarefree_ideal(I), field)
     pol = polarize(I)
-    raw = complex_table(from_squarefree_ideal(pol.ideal), field)
-    a = pol.added_vars
+    raw = complex_table(from_squarefree_ideal(pol), field)
+    a = pol.ring.n - I.ring.n
     if any(d.nonzero for d in raw.degrees[:a]):
         raise InternalCheckError("polarized table nonzero below the shift")
     degrees = tuple(HochsterDegree(d.degree - a, d.contributions) for d in raw.degrees[a:])

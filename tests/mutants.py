@@ -1,0 +1,164 @@
+"""Mutation harness: planted faults that the tier-1 tests must catch.
+
+Each mutant is a named, exact text replacement in one file of a fresh
+temporary copy of `src/`, paired with the tier-1 tests that must then fail.
+The script runs every paired test on an unmutated copy first (all must
+pass), then on each mutant, and prints a kill matrix: one row per mutant,
+one column per mutant's test subset, `K` where a test of the subset failed
+(`*` marks the subset the mutant must fail).  It exits 1 when a
+replacement text does not occur exactly once, when the unmutated copy
+fails a test, or when a mutant survives its own subset.  A surviving
+mutant is a missing test: never a reason to drop the mutant or narrow its
+subset.
+
+    python tests/mutants.py
+
+Run it from anywhere; it needs only the standard library and pytest.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600  # per pytest run; a run that takes longer kills the mutant
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/maxdepth
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, at least one of which must fail
+
+
+COVERS = "tests/test_ideals.py::TestIrreducibleCovers"
+
+MUTANTS = (
+    Mutant(
+        "tight-cut", "ideals.py",
+        "if all(any(f & grown == {u} for f in tight[u]) for u in grown):",
+        "if True:",
+        (f"{COVERS}::test_matches_tight_minimal_covers",),
+    ),
+    Mutant(
+        "edge-strict", "ideals.py",
+        "if e <= g.exponents[i]) for g in I.gens]",
+        "if e < g.exponents[i]) for g in I.gens]",
+        (f"{COVERS}::test_matches_tight_minimal_covers",),
+    ),
+    # the unit pairs (i, 1..e) as vertices again: the same covers and the
+    # same nodes, so only the memory of the search tells
+    Mutant(
+        "unit-pairs", "ideals.py",
+        "pairs = {(i, e) for g in I.gens for i, e in enumerate(g.exponents) if e}",
+        "pairs = {(i, j) for g in I.gens for i, e in enumerate(g.exponents) for j in range(1, e + 1)}",
+        (f"{COVERS}::test_search_memory_does_not_grow_with_the_exponents",),
+    ),
+    # the literal swap `self.mdepth == self.depth` is equivalent, since ==
+    # is symmetric; reading mdepth where depth stood is not
+    Mutant(
+        "maximal-depth-reads-mdepth", "invariants.py",
+        "return self.depth == self.mdepth",
+        "return self.mdepth == self.mdepth",
+        ("tests/test_invariants.py::TestProfile::test_two_planes_flags",
+         "tests/test_invariants.py::TestTensorJoin::test_maximal_depth_iff_both"),
+    ),
+    Mutant(
+        "finite-length-any", "invariants.py",
+        "return all(s == () for s, _ in self.contributions)",
+        "return any(s == () for s, _ in self.contributions)",
+        ("tests/test_invariants.py::TestProfile::test_generalized_cm_with_maximal_depth_is_cm_or_depth_zero",
+         "tests/test_cli.py::TestAnalyze::test_gens_input"),
+    ),
+    Mutant(
+        "kernel-depth-wider", "filtration.py",
+        "return DepthInterval(lo, ",
+        "return DepthInterval(lo - 1, ",
+        ("tests/test_filtration.py::TestDepthIntervals::test_c8_pinned_level",
+         "tests/test_filtration.py::TestDepthIntervals::test_point_levels_obey_the_depth_lemma"),
+    ),
+)
+
+
+def mutated_copy(root: Path, mutant: Mutant | None) -> Path:
+    """A copy of src/ under `root`, with the mutant's replacement made."""
+    src = root / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if mutant is not None:
+        path = src / "maxdepth" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise SystemExit(
+                f"mutant {mutant.name}: the text to replace occurs {text.count(mutant.old)} "
+                f"times in src/maxdepth/{mutant.file}, not once"
+            )
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return src
+
+
+def failing_tests(src: Path, tests: list[str]) -> set[str] | None:
+    """The node ids that fail or error when `tests` run against `src`, one
+    pytest run per test file, or None when a run times out.  A file that
+    cannot be collected fails as a whole."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    failed = set()
+    for path in sorted({t.split("::")[0] for t in tests}):
+        ids = [t for t in tests if t.split("::")[0] == path]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE", *ids]
+        try:
+            run = subprocess.run(cmd, cwd=REPO, env=env, capture_output=True, text=True,
+                                 timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return None
+        found = {line.split()[1] for line in run.stdout.splitlines()
+                 if line.startswith(("FAILED ", "ERROR "))}
+        # 1: tests failed; 2 and 4: the file did not collect
+        if (run.returncode != 0 and not found) or run.returncode not in (0, 1, 2, 4):
+            raise SystemExit(f"pytest exited {run.returncode}:\n{run.stdout}\n{run.stderr}")
+        failed |= found
+    return failed
+
+
+def hits(failed: set[str], test: str) -> bool:
+    """Whether a failing node id lies inside `test`, or is a file or class
+    that holds it (a collection error)."""
+    return any(f == test or f.startswith((test + "::", test + "[")) or test.startswith(f + "::")
+               for f in failed)
+
+
+def main() -> int:
+    tests = sorted({t for m in MUTANTS for t in m.tests})
+
+    with tempfile.TemporaryDirectory(prefix="maxdepth-mutants-") as tmp:
+        failed = failing_tests(mutated_copy(Path(tmp) / "original", None), tests)
+        if failed != set():
+            print(f"the unmutated copy fails: {sorted(failed) if failed else 'timeout'}")
+            return 1
+        rows = {}
+        for m in MUTANTS:
+            failed = failing_tests(mutated_copy(Path(tmp) / m.name, m), tests)
+            rows[m.name] = [failed is None or any(hits(failed, t) for t in n.tests) for n in MUTANTS]
+
+    width = max(len(m.name) for m in MUTANTS)
+    print(" " * width + "  " + " ".join(f"{k:>2}" for k in range(len(MUTANTS))))
+    survivors = []
+    for k, m in enumerate(MUTANTS):
+        marks = [("K" if kill else ".") + ("*" if j == k else " ") for j, kill in enumerate(rows[m.name])]
+        print(f"{m.name:<{width}}  " + " ".join(marks))
+        if not rows[m.name][k]:
+            survivors.append(m.name)
+    print("columns: the test subset of each mutant, in row order; K: a test of it "
+          "failed; *: the subset that must fail")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed"
+          + (f"; surviving: {', '.join(survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from maxdepth.errors import (
     UndefinedModuleError,
 )
 from maxdepth.ideals import (
+    F2,
+    QQ,
     FieldSpec,
     Limits,
     Monomial,
@@ -354,7 +357,7 @@ def public_records():
     levels = quotient_depth_intervals(f)
     triangle = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
     return [
-        Limits(), I.ring.field_spec, I.ring, I.gens[0], prof.ass[0], I, polarize(I),
+        Limits(), I.ring.field_spec, I.ring, I.gens[0], prof.ass[0], I,
         triangle, boundary_matrix(triangle, 1), prof.hochster.degrees[0], prof.hochster, prof,
         f.levels[0], f, levels[-1], levels[-1].module, is_sequentially_cm(J), att_report(I)[0],
         ProbeConfig(), ProbeHit(I, 1, 1, 2), probe_open_question(ProbeConfig(samples=5)),
@@ -480,6 +483,103 @@ class TestIrreducibleCovers:
         assert all(len(g.support) == 1 for c in comps for g in c.gens)
         assert intersect_all(I.ring, comps) == I
 
+    def test_search_memory_does_not_grow_with_the_exponents(self):
+        # the search holds the vertices x_{1,1}, x_{1,200000} and x_{2,1},
+        # not the 200001 of pol I, and visits 4 nodes either way
+        I = parse_generators("x1^200000,x1*x2")
+        ideals._tight_covers.cache_clear()
+        tracemalloc.start()
+        try:
+            covers = irreducible_covers(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert covers == (frozenset({(0, 1)}), frozenset({(0, 200000), (1, 1)}))
+        assert peak < 2 ** 20
+        assert smallest_search_cap(I) == 4
+
+
+# per-variable exponent maps, strictly increasing and fixing 0: (i, e) -> e'
+STRETCHES = {
+    "3e+2+i": lambda i, e: e and 3 * e + 2 + i,
+    "3e": lambda i, e: 3 * e,
+}
+
+
+def stretch_monomial(m, f):
+    return Monomial(tuple(f(i, e) for i, e in enumerate(m.exponents)))
+
+
+def passes_search_cap(I, cap):
+    try:
+        with limited(search_cap=cap):
+            irreducible_covers(I)
+    except CapExceededError:
+        return False
+    return True
+
+
+def smallest_search_cap(I):
+    """The least search cap under which the cover search of I finishes."""
+    lo, hi = 0, 1  # every search visits its root, so cap 0 fails
+    while not passes_search_cap(I, hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes_search_cap(I, mid) else (mid, hi)
+    return hi
+
+
+@pytest.fixture(scope="module")
+def stretch_pool(pool_mixed):
+    """pool_mixed and a seeded non-squarefree pool with exponents up to 5,
+    over QQ and GF(2)."""
+    rng = random.Random(18)
+    deep = [random_monomial_ideal(rng, rng.randint(2, 4), max_gens=5, max_exp=5, field=field)
+            for field in (QQ, F2) for _ in range(100)]
+    pool = pool_mixed + [I for I in deep if not I.is_squarefree]
+    assert {I.ring.field_spec for I in pool} == {QQ, F2} and len(pool) > 350
+    return pool
+
+
+@pytest.mark.parametrize("name", sorted(STRETCHES))
+class TestExponentInvariance:
+    """A per-variable, strictly increasing exponent map that fixes 0 keeps
+    the lcm lattice of I (Gasharov-Peeva-Welker), and the cover search
+    follows it pair by pair."""
+
+    def test_covers_ass_and_levels_map_across(self, name, stretch_pool):
+        f = STRETCHES[name]
+
+        def image(I):
+            return MonomialIdeal(I.ring, tuple(stretch_monomial(g, f) for g in I.gens))
+
+        for I in stretch_pool:
+            J = image(I)
+            lifted = tuple(frozenset((i, f(i, e)) for i, e in c) for c in irreducible_covers(I))
+            assert irreducible_covers(J) == lifted, I.format()
+            assert associated_primes(J) == associated_primes(I), I.format()
+            fI, fJ = dimension_filtration(I), dimension_filtration(J)
+            assert fJ.t == fI.t, I.format()
+            assert [(lv.index, lv.ideal, lv.nonzero, lv.ass_level) for lv in fJ.levels] == [
+                (lv.index, image(lv.ideal), lv.nonzero, lv.ass_level) for lv in fI.levels
+            ], I.format()
+
+    def test_smallest_search_cap_is_the_same(self, name, stretch_pool):
+        # the search takes the edges in the graded-lex order of the
+        # generators, which a map can change by changing degrees: under
+        # 3e+2+i, (x2^3, x1^3, x1^2*x3^2) needs 5 nodes and its image 6.
+        # Where the map keeps that order the searches match node for node
+        f = STRETCHES[name]
+        checked = 0
+        for I in stretch_pool:
+            gens = tuple(stretch_monomial(g, f) for g in I.gens)
+            J = MonomialIdeal(I.ring, gens)
+            if J.gens == gens:
+                assert smallest_search_cap(J) == smallest_search_cap(I), I.format()
+                checked += 1
+        assert checked > 300
+
 
 class TestIrreducibleDecomposition:
     def test_embedded_example(self):
@@ -541,15 +641,12 @@ class TestIrreducibleDecomposition:
 class TestPolarize:
     def test_squarefree_fixed_point(self):
         I = c8_ideal()
-        pol = polarize(I)
-        assert pol.added_vars == 0
-        assert pol.ideal == I
+        assert polarize(I) == I
 
     def test_square_splits(self):
         pol = polarize(mk(1, (2,)))
-        assert pol.added_vars == 1
-        assert pol.ideal.gens == (Monomial((1, 1)),)
-        assert pol.ideal.ring.names == ("x1_1", "x1_2")
+        assert pol.gens == (Monomial((1, 1)),)
+        assert pol.ring.names == ("x1_1", "x1_2")
 
     @given(small_ideals)
     @settings(max_examples=60)
@@ -557,13 +654,14 @@ class TestPolarize:
         if I.is_unit:
             return
         pol = polarize(I)
-        assert pol.ideal.is_squarefree
+        assert pol.is_squarefree
         # depolarize: x_{i,j} -> x_i
+        owner = [i for i, e in enumerate(I.lcm_of_gens().exponents) for _ in range(max(1, e))]
         gens = []
-        for g in pol.ideal.gens:
+        for g in pol.gens:
             exps = [0] * I.ring.n
             for j, e in enumerate(g.exponents):
-                exps[pol.slot_owner[j]] += e
+                exps[owner[j]] += e
             gens.append(Monomial(tuple(exps)))
         assert MonomialIdeal(I.ring, tuple(gens)) == I
 

@@ -233,9 +233,10 @@ class TestHochsterTable:
         if I.is_unit or I.is_zero:
             return
         pol = polarize(I)
-        polarized, original = profile(pol.ideal), profile(I)
-        assert polarized.depth - pol.added_vars == original.depth
-        assert polarized.dim - pol.added_vars == original.dim
+        polarized, original = profile(pol), profile(I)
+        added = pol.ring.n - I.ring.n
+        assert polarized.depth - added == original.depth
+        assert polarized.dim - added == original.dim
 
 
 class TestFieldDependence:
@@ -301,14 +302,16 @@ class TestLocalization:
         for I in pool_mixed[:100]:
             n = I.ring.n
             pol = polarize(I)
-            cx = from_squarefree_ideal(pol.ideal)
+            cx = from_squarefree_ideal(pol)
+            # polarization vertex -> its variable of S
+            owner = [i for i, e in enumerate(I.lcm_of_gens().exponents) for _ in range(max(1, e))]
             for k in range(n + 1):
                 for face in itertools.combinations(range(n), k):
                     if any(set(g.support) <= set(face) for g in I.gens):
                         continue  # I_F is the unit ideal
-                    lifted = tuple(v for v, j in enumerate(pol.slot_owner) if j in face)
-                    shift = sum(j not in face for j in pol.slot_owner) - (n - k)
-                    expect = profile(to_ideal(link(cx, lifted), pol.ideal.ring))
+                    lifted = tuple(v for v, j in enumerate(owner) if j in face)
+                    shift = sum(j not in face for j in owner) - (n - k)
+                    expect = profile(to_ideal(link(cx, lifted), pol.ring))
                     loc = localization_profile(I, face)
                     assert (loc.depth, loc.dim) == (expect.depth - shift, expect.dim - shift), (
                         I.format(), face,
@@ -425,7 +428,7 @@ class TestComplexTable:
     def test_cone_skip_matches_all_faces_scan_polarized(self, pool_mixed):
         # the polarized complexes of the size the `polarized` benchmark feeds
         pairs = {(from_squarefree_ideal(J), J.ring.field_spec)
-                 for J in (polarize(I).ideal for I in pool_mixed) if J.ring.n <= 10}
+                 for J in map(polarize, pool_mixed) if J.ring.n <= 10}
         assert len(pairs) > 100
         for cx, field in sorted(pairs, key=lambda p: (p[0].n, p[0].facets, p[1])):
             got = tuple(d.contributions for d in complex_table(cx, field).degrees)

@@ -2,8 +2,9 @@
 
 Every name `maxdepth/__init__.py` imports is listed in README's "Library"
 section or has a caller in src/maxdepth outside its own module.  Every rule
-in RULES holds on every engine file in its scope, and every name the
-benchmark tracer wraps still exists."""
+in RULES holds on every engine file in its scope, every name the
+benchmark tracer wraps still exists, and every mutant of tests/mutants.py
+still finds its text."""
 import ast
 import importlib
 import re
@@ -220,7 +221,7 @@ RULES = (
      r"invariants\.py",
      "localization_profile sets x_F = 1 on any ideal, not through link F and the dual"),
     ("results-are-plain-values",
-     grep(r"\b(HomologyVector|AttReport|PsuppEntry|LocalizationProfile)\b"), ALL,
+     grep(r"\b(HomologyVector|AttReport|PsuppEntry|LocalizationProfile|Polarization)\b"), ALL,
      "results are the values themselves, not records repeating the caller's arguments"),
     ("no-dataclasses", grep(r"^\s*(import|from)\s+dataclasses\b"), ALL,
      "every CLI call is a fresh interpreter, and dataclasses loads inspect; use named tuples"),
@@ -250,7 +251,8 @@ VIOLATIONS = {
     "localization-by-substitution": ("link(cx, F)\nto_ideal(cx)\nSquarefreeRequiredError\nos.unlink(p)",
                                      [1, 2, 3]),
     "results-are-plain-values": ("AttReport(c)\nHomologyVector\nPsuppEntry\nLocalizationProfile\n"
-                                 "ModuleProfile", [1, 2, 3, 4]),
+                                 "ModuleProfile\nreturn Polarization(J, a, owner)\n# the polarization",
+                                 [1, 2, 3, 4, 6]),
     "no-dataclasses": ("import dataclasses\nfrom dataclasses import field\nif 1:\n"
                        "    import dataclasses as dc\nimport dataclasses_json", [1, 2, 4]),
     "one-divisibility-test": ("\n".join([
@@ -294,6 +296,14 @@ def test_workflow_check_flags_synthetic_workflow():
     workflow = ("run: python -m pytest -q\nrun: grep -rn 'global' --include='*.py' src/maxdepth\n"
                 "run: grep -n 'link(' src/maxdepth/invariants.py\nrun: maxdepth regress | grep passed")
     assert engine_greps(workflow) == [2, 3]
+
+
+def test_every_mutant_applies_once():
+    # tests/mutants.py runs in CI; a refactor that moves a mutated line
+    # must carry the mutant along, which tier-1 checks here
+    from mutants import MUTANTS
+    for m in MUTANTS:
+        assert (PACKAGE / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
 
 
 def test_every_traced_name_resolves():
