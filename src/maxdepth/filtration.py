@@ -17,6 +17,7 @@ from .ideals import (
     associated_primes,
     irreducible_covers,
     meet_covers,
+    per_limits,
     ring,
     unit_ideal,
 )
@@ -47,6 +48,7 @@ class DimensionFiltration(NamedTuple):
         return self.levels[i]
 
 
+@per_limits
 def dimension_filtration(I: MonomialIdeal) -> DimensionFiltration:
     """Level ideals I^(i), the intersection of the irreducible components
     q_C = (x_k^j : (k, j) in C) of dimension above i, in one top-down pass:
@@ -148,6 +150,7 @@ class SeqCMResult(NamedTuple):
     witness_degree: int | None = None
 
 
+@per_limits
 def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
     """Pure-skeleton criterion (Duval 1996): every pure i-skeleton
     Delta^[i] Cohen-Macaulay.

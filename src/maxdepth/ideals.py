@@ -9,7 +9,7 @@ import json
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import lshift
 from typing import NamedTuple
 
@@ -33,6 +33,15 @@ class Limits(NamedTuple):
 
 _limits: ContextVar[Limits] = ContextVar("maxdepth_limits", default=Limits())
 limits = _limits.get  # the limits in force
+
+
+def per_limits(fn):
+    """fn(I) in an unbounded lru_cache keyed on I, which carries its field, and
+    on the caps in force, so a lowered cap is never bypassed."""
+    memo = lru_cache(maxsize=None)(lambda I, caps: fn(I))
+    memoized = wraps(fn)(lambda I: memo(I, limits()))
+    memoized.cache_info, memoized.cache_clear = memo.cache_info, memo.cache_clear
+    return memoized
 
 
 @contextmanager
@@ -262,7 +271,6 @@ def unit_ideal(rng: RingDescriptor) -> MonomialIdeal:
     return MonomialIdeal(rng, (Monomial((0,) * rng.n),))
 
 
-@lru_cache(maxsize=None)
 def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
     """The vertex covers C of pol I in which every pair has a tight generator,
     each a set of (variable, power) pairs; sorted by size, then by pairs.
@@ -285,8 +293,7 @@ def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
     nothing else.  On squarefree I a tight generator is a private edge, so
     the tight covers are the minimal vertex covers.  Raises
     CapExceededError once the search has visited more than `search_cap`
-    nodes.  The cache is keyed on the cap, so a lowered cap is never
-    bypassed; call it through `irreducible_covers`, which supplies the cap.
+    nodes; `irreducible_covers` supplies the cap and keeps the memo.
     """
     pairs = {(i, e) for g in I.gens for i, e in enumerate(g.exponents) if e}
     edges = [frozenset((i, e) for i, e in pairs if e <= g.exponents[i]) for g in I.gens]
@@ -317,6 +324,7 @@ def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
     return tuple(sorted(results, key=lambda c: (len(c), tuple(sorted(c)))))
 
 
+@per_limits
 def irreducible_covers(I: MonomialIdeal) -> tuple[frozenset, ...]:
     """The one cover search behind Ass, the decompositions, the filtration
     and the Stanley-Reisner facets, under the search cap in force: the

@@ -24,6 +24,7 @@ from .ideals import (
     PrimeSupport,
     RingDescriptor,
     associated_primes,
+    per_limits,
     polarize,
     variable,
 )
@@ -152,6 +153,7 @@ class ModuleProfile(NamedTuple):
         return all(self.hochster.at(i).finite_length for i in range(self.dim))
 
 
+@per_limits
 def profile(I: MonomialIdeal) -> ModuleProfile:
     if I.is_unit:
         raise UndefinedModuleError("the unit ideal defines the zero module")

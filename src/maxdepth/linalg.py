@@ -222,9 +222,11 @@ def _mask_homology(masks: list[int], field: FieldSpec) -> tuple[tuple[int, int],
     union = 0
     for m in core:
         union |= m
-    bits = [1 << v for v in range(union.bit_length()) if union >> v & 1]
-    return _core_homology(
-        tuple(sorted(sum(1 << i for i, b in enumerate(bits) if m & b) for m in core)), field)
+    for v in reversed(range(union.bit_length())):  # squeeze out the unused bits
+        if not union >> v & 1:
+            low = (1 << v) - 1
+            core = [m & low | m >> 1 & ~low for m in core]
+    return _core_homology(tuple(sorted(core)), field)
 
 
 @lru_cache(maxsize=None)

@@ -76,6 +76,14 @@ MUTANTS = (
         ("tests/test_invariants.py::TestProfile::test_generalized_cm_with_maximal_depth_is_cm_or_depth_zero",
          "tests/test_cli.py::TestAnalyze::test_gens_input"),
     ),
+    # the memo keyed on the ideal alone: a repeat call under a lowered cap
+    # returns the answer found under the higher one
+    Mutant(
+        "per-limits-key", "ideals.py",
+        "memo(I, limits())",
+        "memo(I, None)",
+        ("tests/test_filtration.py::TestPerLimitsMemo::test_lowered_cap_holds_on_repeat_call",),
+    ),
     Mutant(
         "kernel-depth-wider", "filtration.py",
         "return DepthInterval(lo, ",

@@ -261,7 +261,9 @@ class TestExitCodes:
         assert code == 4 and "error kind=" in err
 
     def test_internal_check_is_reported(self, capsys, monkeypatch):
-        # a table whose dimension disagrees with Ass must fail as an engine error
+        # a table whose dimension disagrees with Ass must fail as an engine
+        # error; C8 is profiled again, not read off the profile memo
+        invariants.profile.cache_clear()
         table = invariants.complex_table
         monkeypatch.setattr(
             invariants, "complex_table",
@@ -365,8 +367,9 @@ class TestColdStart:
 class TestScripts:
     def test_depth_survey_runs(self):
         src = Path(maxdepth.__file__).parents[1]
+        script = Path(__file__).resolve().parents[1] / "scripts" / "depth_survey.py"
         done = subprocess.run(
-            [sys.executable, str(src.parent / "scripts" / "depth_survey.py"), "--samples", "50"],
+            [sys.executable, str(script), "--samples", "50"],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
         )
         assert done.returncode == 0, done.stderr

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxdepth.errors import SquarefreeRequiredError, UndefinedModuleError
+from maxdepth.errors import CapExceededError, SquarefreeRequiredError, UndefinedModuleError
 from maxdepth.ideals import (
     F2,
     QQ,
@@ -411,12 +411,45 @@ class TestSharedCoverSearch:
         I = parse_generators(
             "x1*x2*x5,x2*x3*x7,x3*x4,x4*x5*x6,x1*x6*x7", nvars=7, field=ideals.FieldSpec(11)
         )
-        searches = ideals._tight_covers.cache_info().misses
+        searches = ideals.irreducible_covers.cache_info().misses
         profile(I)
         dimension_filtration(I)
         is_sequentially_cm(I)
         att_report(I)
-        assert ideals._tight_covers.cache_info().misses - searches == 1
+        assert ideals.irreducible_covers.cache_info().misses - searches == 1
+
+
+# the four per-(ideal, Limits) memos, each with caps below what C5 needs:
+# its search visits more than two nodes, and its complex has five vertices
+MEMOIZED = {
+    "irreducible_covers": (ideals.irreducible_covers, {"search_cap": 2}),
+    "profile": (profile, {"max_vertices": 4}),
+    "dimension_filtration": (dimension_filtration, {"search_cap": 2}),
+    "is_sequentially_cm": (is_sequentially_cm, {"max_vertices": 4}),
+}
+
+
+@pytest.mark.parametrize("name", MEMOIZED)
+class TestPerLimitsMemo:
+    def test_lowered_cap_holds_on_repeat_call(self, name):
+        fn, caps = MEMOIZED[name]
+        I = cycle_edge_ideal(5)
+        fn(I)
+        with ideals.limited(**caps), pytest.raises(CapExceededError):
+            fn(I)
+
+    def test_memo_answers_as_the_function(self, name, pool_mixed):
+        fn, _ = MEMOIZED[name]
+        for I in pool_mixed:
+            assert fn(I) == fn.__wrapped__(I), I.format()
+
+    def test_repeat_call_is_one_hit(self, name):
+        fn, _ = MEMOIZED[name]
+        I = cycle_edge_ideal(7)
+        fn(I)
+        hits = fn.cache_info().hits
+        fn(I)
+        assert fn.cache_info().hits == hits + 1
 
 
 POLARIZED_14_GENS = "x1^3*x4^3,x2^3*x4^3*x5^2,x2^3*x3^2*x4^2*x5,x1^2*x2*x3^3*x4*x5^2"

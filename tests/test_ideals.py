@@ -487,7 +487,7 @@ class TestIrreducibleCovers:
         # the search holds the vertices x_{1,1}, x_{1,200000} and x_{2,1},
         # not the 200001 of pol I, and visits 4 nodes either way
         I = parse_generators("x1^200000,x1*x2")
-        ideals._tight_covers.cache_clear()
+        irreducible_covers.cache_clear()
         tracemalloc.start()
         try:
             covers = irreducible_covers(I)

@@ -16,7 +16,7 @@ import pytest
 import maxdepth
 
 PACKAGE = Path(maxdepth.__file__).parent
-REPO = PACKAGE.parents[1]
+REPO = Path(__file__).resolve().parents[1]
 README = REPO / "README.md"
 
 
