@@ -24,7 +24,6 @@ from .complexes import (
     SimplicialComplex,
     cone_vertices,
     cycle_edge_ideal,
-    facet_subcomplex_min_dim,
     from_squarefree_ideal,
     link,
     parse_edge_list,

@@ -141,11 +141,6 @@ def pure_skeleton(cx: SimplicialComplex, i: int) -> SimplicialComplex:
     return SimplicialComplex(cx.n, tuple(face_tuples(faces)))
 
 
-def facet_subcomplex_min_dim(cx: SimplicialComplex, i: int) -> SimplicialComplex:
-    """Subcomplex generated by facets with more than i vertices."""
-    return SimplicialComplex(cx.n, tuple(f for f in cx.facets if len(f) > i))
-
-
 def cone_vertices(cx: SimplicialComplex) -> tuple[int, ...]:
     """Vertices lying in every facet."""
     common = reduce(and_, cx.masks)

@@ -21,14 +21,8 @@ from .ideals import (
     ring,
     unit_ideal,
 )
-from .complexes import (
-    face_meets,
-    face_tuples,
-    facet_subcomplex_min_dim,
-    from_squarefree_ideal,
-    to_ideal,
-)
-from .invariants import complex_table, profile
+from .complexes import face_meets, face_tuples, to_ideal
+from .invariants import profile
 from .random_instances import random_complex
 
 
@@ -165,9 +159,11 @@ def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
     Delta^[i] is the i-skeleton of Delta_{>=i}, links commute with taking
     skeleta (lk_{X^(m)} s = (lk_X s)^(m-|s|)), and a skeleton has the
     homology of the whole complex below its top dimension.  So both tables
-    hold the same contributions at every degree k < i + 1.  Delta_{>=0} is
-    Delta, whose table `profile` caches, and Delta_{>=i} changes only at
-    the facet sizes of Delta.
+    hold the same contributions at every degree k < i + 1.  Delta_{>=i} is
+    the complex of S/I^(i), the filtration level: the minimal primes of
+    I^(i) are the primes of I of dimension above i, the complements of the
+    facets with more than i vertices.  So the table read is that of
+    `profile(I^(i))`.
 
     Non-squarefree input is reported undecided; the filtration-based
     check only produces intervals there.
@@ -176,10 +172,9 @@ def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
         raise UndefinedModuleError("the unit ideal defines the zero module")
     if not I.is_squarefree:
         return SeqCMResult("undecided")
-    field_spec = I.ring.field_spec
-    cx = from_squarefree_ideal(I)
-    for i in range(cx.dim + 1):
-        t = complex_table(facet_subcomplex_min_dim(cx, i), field_spec)
+    profile(I)  # checks the vertex cap before the filtration's cover search
+    for lv in dimension_filtration(I).levels[:-1]:
+        i, t = lv.index, profile(lv.ideal).hochster
         low = [(len(s), s, k - len(s) - 1) for k in range(i + 1) for s, _ in t.at(k).contributions]
         if low:
             return SeqCMResult("false", i, *min(low)[1:])
@@ -225,14 +220,13 @@ def psupp_monomial(I: MonomialIdeal, i: int) -> tuple[tuple[int, ...], ...]:
     """Faces F whose link has nonvanishing local cohomology in degree i - |F|.
 
     Since lk_{lk F} G = lk(F cup G), G contributes to degree i - |F| of
-    k[lk F] exactly when F cup G contributes to degree i of k[cx]: the hits
-    are the faces of the complex generated by the faces that contribute to
-    degree i of cx's table.
+    k[lk F] exactly when F cup G contributes to degree i of k[Delta]: the
+    hits are the faces of the complex generated by the faces that contribute
+    to degree i of the table of S/I.
     """
     if not I.is_squarefree:
         raise SquarefreeRequiredError("Psupp scan needs a squarefree ideal")
-    cx = from_squarefree_ideal(I)
-    t = complex_table(cx, I.ring.field_spec)
+    t = profile(I).hochster
     tops = t.at(i).contributions if 0 <= i < len(t.degrees) else ()
     return tuple(face_tuples(face_meets([sum(1 << v for v in s) for s, _ in tops])))
 

@@ -8,7 +8,6 @@ through polarization with the documented degree shift.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -74,7 +73,6 @@ class HochsterTable(NamedTuple):
         return max(d.degree for d in self.degrees if d.nonzero)
 
 
-@lru_cache(maxsize=None)
 def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
     """Local cohomology nonvanishing table of k[cx] from link homology.
 

@@ -91,6 +91,13 @@ MUTANTS = (
         ("tests/test_filtration.py::TestDepthIntervals::test_c8_pinned_level",
          "tests/test_filtration.py::TestDepthIntervals::test_point_levels_obey_the_depth_lemma"),
     ),
+    # every level read off the table of I itself: the level-0 verdict only
+    Mutant(
+        "seqcm-reads-level-ideal", "filtration.py",
+        "profile(lv.ideal).hochster",
+        "profile(I).hochster",
+        ("tests/test_filtration.py::TestSequentiallyCM::test_mixed_dim_pool_matches_reisner_rescan",),
+    ),
 )
 
 

@@ -315,6 +315,13 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, "--search-cap=2", "--max-vertices=3", "analyze", gens)
             assert code == 3 and "vertices exceeds cap 3" in err, gens
 
+    def test_seqcm_and_att_check_the_vertex_cap_before_the_search_cap(self, capsys):
+        # the verdict profiles I before the filtration's cover search runs
+        c5 = "--edges=n=5; edges=1-2,2-3,3-4,4-5,1-5"
+        for cmd in ("seqcm", "att"):
+            code, out, err = run_cli(capsys, "--max-vertices=3", "--search-cap=0", cmd, c5)
+            assert code == 3 and "5 vertices exceeds cap 3" in err, (cmd, err)
+
 
 class TestDeterminism:
     def test_calls_in_one_process_match_fresh_processes(self, capsys):

@@ -26,13 +26,13 @@ from maxdepth.complexes import (
     cone_vertices,
     cycle_edge_ideal,
     face_meets,
-    facet_subcomplex_min_dim,
     from_squarefree_ideal,
     link,
     parse_edge_list,
     pure_skeleton,
     to_ideal,
 )
+from maxdepth.filtration import dimension_filtration
 from maxdepth.invariants import profile
 from maxdepth.random_instances import random_complex
 from maxdepth.regress import C8_PRIMES
@@ -176,25 +176,19 @@ class TestSkeletonsAndSubcomplexes:
         triples = {f for facet in cx.facets for f in all_faces(SimplicialComplex(8, (facet,))) if len(f) == 3}
         assert set(sk.facets) == triples
 
-    def test_facet_subcomplex_identity_at_minus_one(self):
-        cx = SimplicialComplex(4, ((0, 1, 2), (2, 3)))
-        assert facet_subcomplex_min_dim(cx, -1) == cx
-
-    def test_facet_subcomplex_collapses_above_dim(self):
-        cx = SimplicialComplex(4, ((0, 1, 2), (2, 3)))
-        assert facet_subcomplex_min_dim(cx, 3).facets == ((),)
-
     def test_c8_level_three_subcomplex(self):
-        cx = from_squarefree_ideal(cycle_edge_ideal(8))
-        sub = facet_subcomplex_min_dim(cx, 3)
-        assert sub.facets == ((0, 2, 4, 6), (1, 3, 5, 7))
+        level = dimension_filtration(cycle_edge_ideal(8)).level(3)
+        assert from_squarefree_ideal(level.ideal).facets == ((0, 2, 4, 6), (1, 3, 5, 7))
 
-    @given(complexes, st.integers(-1, 6))
-    @settings(max_examples=60)
-    def test_facet_subcomplex_monotone(self, cx, i):
-        a = set(all_faces(facet_subcomplex_min_dim(cx, i)))
-        b = set(all_faces(facet_subcomplex_min_dim(cx, i + 1)))
-        assert b <= a
+    def test_level_complexes_are_facet_subcomplexes(self, pool_low_dim, pool_mixed_dim):
+        # the seqCM verdict reads the table of S/I^(i) for that of
+        # Delta_{>=i}, the facets with more than i vertices
+        cycles = [cycle_edge_ideal(n) for n in range(3, 13)]
+        for I in pool_low_dim + pool_mixed_dim + cycles:
+            cx = from_squarefree_ideal(I)
+            for lv in dimension_filtration(I).levels[:-1]:
+                want = SimplicialComplex(cx.n, tuple(f for f in cx.facets if len(f) > lv.index))
+                assert from_squarefree_ideal(lv.ideal).facets == want.facets, (I.format(), lv.index)
 
 
 class TestFaceMeets:

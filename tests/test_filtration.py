@@ -17,7 +17,7 @@ from maxdepth.ideals import (
     ring,
     unit_ideal,
 )
-from maxdepth import filtration, ideals, invariants
+from maxdepth import ideals, invariants
 from maxdepth.complexes import cycle_edge_ideal, to_ideal
 from maxdepth.invariants import localization_profile, profile
 from maxdepth.filtration import (
@@ -538,7 +538,6 @@ class TestAttReport:
             raise AssertionError("complex_table called")
 
         monkeypatch.setattr(invariants, "complex_table", refuse)
-        monkeypatch.setattr(filtration, "complex_table", refuse)
         for I in cases:
             assert att_report(I), I.format()
 

@@ -409,7 +409,7 @@ class TestComplexTable:
 
         monkeypatch.setattr(invariants, "face_meets", spy)
         for I in (zero_ideal(ring(8)), tensor_join(cycle_edge_ideal(5), zero_ideal(ring(6)))):
-            complex_table.__wrapped__(from_squarefree_ideal(I), QQ)
+            complex_table(from_squarefree_ideal(I), QQ)
         assert walked == [0, 0]
 
     def test_cone_skip_matches_all_faces_scan(self, pool_low_dim, pool_mixed_dim):

@@ -228,6 +228,9 @@ RULES = (
     ("one-divisibility-test", lshift_uses, ALL,
      "ideals._minimal_gens, behind the MonomialIdeal constructor, packs exponents to test "
      "divisibility; the plain scan is tests/intersect_oracle.py"),
+    ("one-table-route", grep(r"\b(complex_table|facet_subcomplex_min_dim)\b"),
+     r"(?!invariants\.py$).*",
+     "every local cohomology table is read through profile's per-(ideal, Limits) memo"),
 )
 
 
@@ -269,6 +272,9 @@ VIOLATIONS = {
         "def lshift_note():",
         "    return 1 << 2",
     ]), [6, 8, 10]),
+    "one-table-route": ("t = complex_table(facet_subcomplex_min_dim(cx, i), field_spec)\n"
+                        "t = profile(lv.ideal).hochster\n"
+                        "from .invariants import complex_table, profile", [1, 3]),
 }
 
 
