@@ -35,7 +35,7 @@ from .filtration import (
     AttClaim,
     DimensionFiltration,
     ProbeConfig,
-    ProbeReport,
+    ProbeHit,
     SeqCMResult,
     att_report,
     dimension_filtration,
@@ -69,7 +69,7 @@ def profile_json(prof: ModuleProfile) -> dict:
         "cohen_macaulay": prof.cohen_macaulay,
         "unmixed": prof.unmixed,
         "generalized_cm": prof.generalized_cm,
-        "field": prof.field.label,
+        "field": prof.ring.field_spec.label,
         "ass": [_prime_names(p, rng) for p in prof.ass],
         "assd": [_prime_names(p, rng) for p in prof.assd],
         "h_table": h_table,
@@ -134,10 +134,10 @@ def localize_json(face: tuple[int, ...], local: ModuleProfile) -> dict:
     }
 
 
-def probe_json(rep: ProbeReport) -> dict:
+def probe_json(samples: int, eligible: int, hits: tuple[ProbeHit, ...]) -> dict:
     return {
-        "samples": rep.samples_run,
-        "eligible": rep.eligible,
+        "samples": samples,
+        "eligible": eligible,
         "hits": [
             {
                 "gens": [g.format(h.ideal.ring) for g in h.ideal.gens],
@@ -146,7 +146,7 @@ def probe_json(rep: ProbeReport) -> dict:
                 "depth": h.depth,
                 "dim": h.dim,
             }
-            for h in rep.hits
+            for h in hits
         ],
     }
 
@@ -301,7 +301,7 @@ def _dispatch(args) -> tuple[int, str]:
         max_vertices = ProbeConfig().max_vertices if args.max_vertices is None else args.max_vertices
         cfg = ProbeConfig(samples=args.samples, max_vertices=max_vertices,
                           min_vertices=args.min_vertices, seed=args.seed, field=field)
-        out = probe_json(probe_open_question(cfg))
+        out = probe_json(cfg.samples, *probe_open_question(cfg))
     elif cmd == "directsum":
         profiles = [profile(parse_generators(g, nvars=args.nvars, field=field)) for g in args.gens]
         out = profile_json(direct_sum_profile(profiles))

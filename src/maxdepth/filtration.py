@@ -38,9 +38,6 @@ class DimensionFiltration(NamedTuple):
     levels: tuple[FiltrationLevel, ...]  # indices 0..dim
     t: int  # smallest i with M_i != 0
 
-    def level(self, i: int) -> FiltrationLevel:
-        return self.levels[i]
-
 
 @per_limits
 def dimension_filtration(I: MonomialIdeal) -> DimensionFiltration:
@@ -97,7 +94,6 @@ class DepthInterval(NamedTuple):
 
 
 class LevelIntervals(NamedTuple):
-    index: int
     module: DepthInterval | None  # depth of M_i, None when M_i = 0
     quotient: DepthInterval | None  # depth of M_i/M_{i-1}, None when zero
 
@@ -129,7 +125,6 @@ def quotient_depth_intervals(f: DimensionFiltration) -> tuple[LevelIntervals, ..
         else:
             depth_q = profile(lv.ideal).depth
         out.append(LevelIntervals(
-            lv.index,
             _kernel_depth(depth_m, depth_q, dim_mi) if lv.nonzero else None,
             _kernel_depth(depth_prev, depth_q, lv.index) if lv.ass_level else None,
         ))
@@ -168,14 +163,12 @@ def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
     Non-squarefree input is reported undecided; the filtration-based
     check only produces intervals there.
     """
-    if I.is_unit:
-        raise UndefinedModuleError("the unit ideal defines the zero module")
     if not I.is_squarefree:
         return SeqCMResult("undecided")
-    profile(I)  # checks the vertex cap before the filtration's cover search
+    profile(I)  # rejects the unit ideal, then checks the vertex cap before the cover search
     for lv in dimension_filtration(I).levels[:-1]:
-        i, t = lv.index, profile(lv.ideal).hochster
-        low = [(len(s), s, k - len(s) - 1) for k in range(i + 1) for s, _ in t.at(k).contributions]
+        i, t = lv.index, profile(lv.ideal).hochster.degrees
+        low = [(len(s), s, k - len(s) - 1) for k in range(i + 1) for s, _ in t[k].contributions]
         if low:
             return SeqCMResult("false", i, *min(low)[1:])
     return SeqCMResult("true")
@@ -226,8 +219,8 @@ def psupp_monomial(I: MonomialIdeal, i: int) -> tuple[tuple[int, ...], ...]:
     """
     if not I.is_squarefree:
         raise SquarefreeRequiredError("Psupp scan needs a squarefree ideal")
-    t = profile(I).hochster
-    tops = t.at(i).contributions if 0 <= i < len(t.degrees) else ()
+    t = profile(I).hochster.degrees
+    tops = t[i].contributions if 0 <= i < len(t) else ()
     return tuple(face_tuples(face_meets([sum(1 << v for v in s) for s, _ in tops])))
 
 
@@ -258,17 +251,11 @@ class ProbeHit(NamedTuple):
     dim: int
 
 
-class ProbeReport(NamedTuple):
-    config: ProbeConfig
-    samples_run: int
-    eligible: int  # instances with maximal depth and depth > 0
-    hits: tuple[ProbeHit, ...]
-
-
-def probe_open_question(config: ProbeConfig) -> ProbeReport:
+def probe_open_question(config: ProbeConfig) -> tuple[int, tuple[ProbeHit, ...]]:
     """Random search for a maximal-depth module whose nonzero H^i has finite length.
 
-    Every hit is reported verbatim; an empty hit list means no
+    Returns the number of eligible samples, those with maximal depth and
+    depth > 0, and every hit verbatim; an empty hit list means no
     counterexample was found at this sample size.
     """
     import random  # only the prober needs it; the other commands start without it
@@ -279,11 +266,12 @@ def probe_open_question(config: ProbeConfig) -> ProbeReport:
     for _ in range(config.samples):
         n = rng.randint(config.min_vertices, config.max_vertices)
         cx = random_complex(rng, n)
-        prof = profile(to_ideal(cx, ring(cx.n, config.field)))
+        I = to_ideal(cx, ring(cx.n, config.field))
+        prof = profile(I)
         if not (prof.maximal_depth and prof.depth > 0):
             continue
         eligible += 1
         for entry in prof.hochster.degrees:
             if entry.nonzero and entry.finite_length:
-                hits.append(ProbeHit(prof.ideal, entry.degree, prof.depth, prof.dim))
-    return ProbeReport(config, config.samples, eligible, tuple(hits))
+                hits.append(ProbeHit(I, entry.degree, prof.depth, prof.dim))
+    return eligible, tuple(hits)

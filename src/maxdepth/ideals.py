@@ -117,11 +117,9 @@ class RingDescriptor(NamedTuple(
         return len(self.names)
 
 
-def ring(n: int, field: FieldSpec = QQ, names: tuple[str, ...] | None = None) -> RingDescriptor:
-    """Polynomial ring in n variables, default names x1..xn."""
-    if names is None:
-        names = tuple(f"x{i + 1}" for i in range(n))
-    return RingDescriptor(names, field)
+def ring(n: int, field: FieldSpec = QQ) -> RingDescriptor:
+    """Polynomial ring in n variables named x1..xn."""
+    return RingDescriptor(tuple(f"x{i + 1}" for i in range(n)), field)
 
 
 class Monomial(NamedTuple("Monomial", [("exponents", tuple[int, ...])])):

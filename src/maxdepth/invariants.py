@@ -61,17 +61,6 @@ class HochsterDegree(NamedTuple):
 class HochsterTable(NamedTuple):
     degrees: tuple[HochsterDegree, ...]  # cohomological degrees 0..dim
 
-    def at(self, i: int) -> HochsterDegree:
-        return self.degrees[i]
-
-    @property
-    def depth(self) -> int:
-        return min(d.degree for d in self.degrees if d.nonzero)
-
-    @property
-    def dim(self) -> int:
-        return max(d.degree for d in self.degrees if d.nonzero)
-
 
 def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
     """Local cohomology nonvanishing table of k[cx] from link homology.
@@ -116,16 +105,11 @@ def _shifted_table(I: MonomialIdeal) -> HochsterTable:
 
 class ModuleProfile(NamedTuple):
     ring: RingDescriptor
-    ideal: MonomialIdeal | None  # None for formal direct sums
     dim: int
     depth: int
     mdepth: int
     ass: tuple[PrimeSupport, ...]
     hochster: HochsterTable
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.ring.field_spec
 
     @property
     def assd(self) -> tuple[PrimeSupport, ...]:
@@ -148,7 +132,7 @@ class ModuleProfile(NamedTuple):
     @property
     def generalized_cm(self) -> bool:
         """Every H^i below the dimension has finite length."""
-        return all(self.hochster.at(i).finite_length for i in range(self.dim))
+        return all(self.hochster.degrees[i].finite_length for i in range(self.dim))
 
 
 @per_limits
@@ -159,13 +143,14 @@ def profile(I: MonomialIdeal) -> ModuleProfile:
     table = _shifted_table(I)  # before Ass, so the vertex cap is checked first
     ass = tuple(sorted(associated_primes(I)))
     dims = [p.dim_in(rng) for p in ass]
-    if table.dim != max(dims):
+    nonzero = [d.degree for d in table.degrees if d.nonzero]
+    depth, dim = min(nonzero), max(nonzero)
+    if dim != max(dims):
         raise InternalCheckError(
-            f"table dimension {table.dim} disagrees with Krull dimension {max(dims)}"
+            f"table dimension {dim} disagrees with Krull dimension {max(dims)}"
         )
     return ModuleProfile(
-        ring=rng, ideal=I, dim=table.dim, depth=table.depth, mdepth=min(dims), ass=ass,
-        hochster=table,
+        ring=rng, dim=dim, depth=depth, mdepth=min(dims), ass=ass, hochster=table,
     )
 
 
@@ -248,12 +233,12 @@ def direct_sum_profile(profiles: list[ModuleProfile]) -> ModuleProfile:
     merged = tuple(
         HochsterDegree(i, tuple(
             c for p in profiles if i < len(p.hochster.degrees)
-            for c in p.hochster.at(i).contributions
+            for c in p.hochster.degrees[i].contributions
         ))
         for i in range(dim_s + 1)
     )
     return ModuleProfile(
-        ring=rng, ideal=None, dim=dim_s, depth=min(p.depth for p in profiles),
+        ring=rng, dim=dim_s, depth=min(p.depth for p in profiles),
         mdepth=min(p.dim_in(rng) for p in ass), ass=ass,
         hochster=HochsterTable(merged),
     )

@@ -83,10 +83,10 @@ def _checks():
     top2 = frozenset(PrimeSupport(p) for p in C8_PRIMES[:2])
     level3 = meet_covers(unit_ideal(I8.ring), [[(k, 1) for k in p] for p in C8_PRIMES[:2]])
     yield "C8 filtration: levels 1 and 2 vanish", (
-        not f8.level(1).nonzero and not f8.level(2).nonzero
+        not f8.levels[1].nonzero and not f8.levels[2].nonzero
     )
-    yield "C8 filtration: level-3 ideal is p1 cap p2", f8.level(3).ideal == level3
-    yield "C8 filtration: top level ideal is the unit ideal", f8.level(4).ideal.is_unit
+    yield "C8 filtration: level-3 ideal is p1 cap p2", f8.levels[3].ideal == level3
+    yield "C8 filtration: top level ideal is the unit ideal", f8.levels[4].ideal.is_unit
     yield "C8 filtration: t = 3", f8.t == 3
     rest = c8_prime_supports() - top2
     yield "C8 Ass(M_t) set difference identity", (
@@ -125,8 +125,8 @@ def _checks():
     yield "two-planes mdepth 2", p2.mdepth == 2
     yield "two-planes has no maximal depth", not p2.maximal_depth
     yield "two-planes generalized CM", p2.generalized_cm
-    yield "two-planes H^0 vanishes", not p2.hochster.at(0).nonzero
-    h1 = p2.hochster.at(1)
+    yield "two-planes H^0 vanishes", not p2.hochster.degrees[0].nonzero
+    h1 = p2.hochster.degrees[1]
     yield "two-planes H^1 finite length of K-dimension 1", (
         h1.nonzero and h1.finite_length and h1.k_dim == 1
     )
@@ -176,8 +176,9 @@ def _checks():
     yield "polarization depth shift on (x1^2, x1*x2)", (
         profile(polm).depth - (polm.ring.n - mixed.ring.n) == profile(mixed).depth == 0
     )
-    m3 = profile(parse_generators("x1^2,x1*x2", nvars=3))
-    loc = localization_profile(m3.ideal, (2,))
+    I3 = parse_generators("x1^2,x1*x2", nvars=3)
+    m3 = profile(I3)
+    loc = localization_profile(I3, (2,))
     yield "(x1^2, x1*x2) localized at (x1, x2): depth 1 = 0 + |F|, maximal depth kept", (
         m3.depth == loc.depth + 1 == 1 and m3.maximal_depth and loc.maximal_depth
     )

@@ -98,6 +98,50 @@ MUTANTS = (
         "profile(I).hochster",
         ("tests/test_filtration.py::TestSequentiallyCM::test_mixed_dim_pool_matches_reisner_rescan",),
     ),
+    # the faces walked on the facets less the cone are scanned without the
+    # cone that every meet holds
+    Mutant(
+        "cone-re-add", "invariants.py",
+        "face_tuples(sm | cone for sm, meet",
+        "face_tuples(sm for sm, meet",
+        ("tests/test_invariants.py::TestScalars::test_zero_ideal",
+         "tests/test_invariants.py::TestComplexTable::test_walk_leaves_out_the_cone"),
+    ),
+    # the GF(2) ranks answer over QQ even when the strong core keeps torsion
+    Mutant(
+        "gf2-over-qq", "linalg.py",
+        "if dims is None or (p == 0 and len(dims) > 1):",
+        "if dims is None:",
+        ("tests/test_linalg.py::TestReducedHomology::test_projective_plane_depends_on_field",),
+    ),
+    # every vertex is deleted, dominated or not
+    Mutant(
+        "collapse-undominated", "linalg.py",
+        "            if common == v:\n                continue\n",
+        "",
+        ("tests/test_linalg.py::TestReducedHomology::test_hollow_triangle_is_circle",),
+    ),
+    Mutant(
+        "shift-a-minus-1", "invariants.py",
+        "a = pol.ring.n - I.ring.n",
+        "a = pol.ring.n - I.ring.n - 1",
+        ("tests/test_invariants.py::TestProfile::test_invariant_chain",),
+    ),
+    # I_F kept as I: the localization only adds the variables of F
+    Mutant(
+        "no-substitution", "invariants.py",
+        "0 if j in face else ",
+        "",
+        ("tests/test_invariants.py::TestLocalization::test_depth_inequality_over_all_faces",),
+    ),
+    # 2.7 read as 2, "2" as 2 and true as 1
+    Mutant(
+        "json-int-truncates", "ideals.py",
+        "    if type(v) is not int:\n        raise TypeError(f\"expected an integer, got {v!r}\")\n"
+        "    return v\n",
+        "    return int(v)\n",
+        ("tests/test_cli.py::TestJsonInput::test_bad_ideal_json_is_2",),
+    ),
 )
 
 

@@ -48,6 +48,6 @@ def psupp_by_link_tables(I, i):
         if j < 0:
             continue
         t = complex_table(link(cx, face), field)
-        if j < len(t.degrees) and t.at(j).nonzero:
+        if j < len(t.degrees) and t.degrees[j].nonzero:
             hits.append(face)
     return tuple(hits)

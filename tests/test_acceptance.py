@@ -76,9 +76,9 @@ def test_criterion_1_c8_regression():
         and prof.depth == 3
         and prof.mdepth == 3
         and prof.maximal_depth
-        and not f.level(1).nonzero
-        and not f.level(2).nonzero
-        and f.level(3).ideal == intersect_all(I.ring, top2)
+        and not f.levels[1].nonzero
+        and not f.levels[2].nonzero
+        and f.levels[3].ideal == intersect_all(I.ring, top2)
         and (iv3.lo, iv3.hi) == (2, 2)
         and is_sequentially_cm(I).status == "false"
         and time.monotonic() - start < 10.0
@@ -88,13 +88,13 @@ def test_criterion_1_c8_regression():
 
 def test_criterion_2_two_planes_regression():
     prof = profile(two_planes_ideal())
-    h1 = prof.hochster.at(1)
+    h1 = prof.hochster.degrees[1]
     ok = (
         prof.depth == 1
         and prof.mdepth == 2
         and not prof.maximal_depth
         and prof.generalized_cm
-        and not prof.hochster.at(0).nonzero
+        and not prof.hochster.degrees[0].nonzero
         and h1.nonzero
         and h1.finite_length
         and h1.k_dim == 1
@@ -204,7 +204,7 @@ def test_criterion_4_property_suites(pool_main, pool_small, pool_pairs, pool_mix
     for I in pool_main:
         prof = profile(I)
         if prof.maximal_depth and prof.depth > 0:
-            if prof.hochster.at(prof.depth).finite_length:
+            if prof.hochster.degrees[prof.depth].finite_length:
                 violations.append(("f-finite", I))
         if prof.generalized_cm and prof.depth > 0:
             if prof.maximal_depth != prof.cohen_macaulay:

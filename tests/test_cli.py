@@ -31,6 +31,12 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def rp2_flag(tmp_path):
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps({"vertices": 6, "facets": RP2_FACETS}))
+    return f"--facets-json={path}"
+
+
 class TestAnalyze:
     def test_c8_table(self, capsys):
         code, out, err = run_cli(capsys, "analyze", C8)
@@ -56,13 +62,29 @@ class TestAnalyze:
         assert doc["ass"] == [["x10", "x11"]] and doc["depth"] == 9
 
     def test_field_flag(self, capsys, tmp_path):
-        path = tmp_path / "rp2.json"
-        path.write_text(json.dumps({"vertices": 6, "facets": RP2_FACETS}))
-        rp2 = f"--facets-json={path}"
+        rp2 = rp2_flag(tmp_path)
         q = run_json(capsys, "analyze", rp2)
         f2 = run_json(capsys, "--field=f2", "analyze", rp2)
         assert q["depth"] == 3 and f2["depth"] == 2
         assert f2["field"] == "GF(2)"
+        # fp=P names a prime field; RP2 has torsion only at 2, so GF(3)
+        # answers as QQ does
+        for p, depth in ((3, 3), (2, 2)):
+            code, out, err = run_cli(capsys, f"--field=fp={p}", "analyze", rp2)
+            assert code == 0, err
+            lines = out.splitlines()
+            assert f"depth: {depth}" in lines and f"field: GF({p})" in lines, out
+
+    @pytest.mark.parametrize("spec, msg", [
+        ("fp=4", "field characteristic must be 0 or prime, got 4"),
+        ("fp=1", "field characteristic must be 0 or prime, got 1"),
+        ("fp=-3", "field characteristic must be 0 or prime, got -3"),
+        ("fp=x", "bad field spec 'fp=x'"),
+        ("gf3", "unknown field spec 'gf3'"),
+    ])
+    def test_bad_field_spec_is_2(self, capsys, tmp_path, spec, msg):
+        code, out, err = run_cli(capsys, f"--field={spec}", "analyze", rp2_flag(tmp_path))
+        assert (code, out) == (2, "") and "error kind=malformed-input" in err and msg in err, err
 
     def test_facets_json_input(self, capsys, tmp_path):
         path = tmp_path / "cx.json"
@@ -253,8 +275,12 @@ class TestExitCodes:
     def test_precondition_is_4(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--gens=x1,x2", "--nvars=2")
         assert code == 0
-        code, out, err = run_cli(capsys, "seqcm", "--gens=1")
-        assert code in (2, 4)
+        # seqcm and att reach profile's unit-ideal check before either cap
+        for argv in (("seqcm", "--gens=1"), ("att", "--gens=1"),
+                     ("--max-vertices=0", "seqcm", "--gens=1", "--nvars=3"),
+                     ("--search-cap=0", "att", "--gens=1", "--nvars=5")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (4, "") and "the unit ideal defines the zero module" in err, argv
 
     def test_unit_ideal_is_4(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--gens=x1^0")

@@ -177,7 +177,7 @@ class TestSkeletonsAndSubcomplexes:
         assert set(sk.facets) == triples
 
     def test_c8_level_three_subcomplex(self):
-        level = dimension_filtration(cycle_edge_ideal(8)).level(3)
+        level = dimension_filtration(cycle_edge_ideal(8)).levels[3]
         assert from_squarefree_ideal(level.ideal).facets == ((0, 2, 4, 6), (1, 3, 5, 7))
 
     def test_level_complexes_are_facet_subcomplexes(self, pool_low_dim, pool_mixed_dim):

@@ -61,11 +61,11 @@ class TestDimensionFiltration:
         I = c8_ideal()
         f = dimension_filtration(I)
         assert f.t == 3
-        assert not f.level(0).nonzero
-        assert not f.level(1).nonzero and not f.level(2).nonzero
+        assert not f.levels[0].nonzero
+        assert not f.levels[1].nonzero and not f.levels[2].nonzero
         top2 = [prime_ideal(I.ring, PrimeSupport(p)) for p in C8_PRIMES[:2]]
-        assert f.level(3).ideal == intersect_all(I.ring, top2)
-        assert f.level(4).ideal.is_unit
+        assert f.levels[3].ideal == intersect_all(I.ring, top2)
+        assert f.levels[4].ideal.is_unit
 
     def test_c8_ass_partition(self):
         f = dimension_filtration(c8_ideal())
@@ -78,14 +78,14 @@ class TestDimensionFiltration:
         I = mk(2, (2, 0), (1, 1))
         f = dimension_filtration(I)
         assert f.t == 0
-        assert f.level(0).ideal == mk(2, (1, 0))
-        assert f.level(1).ideal.is_unit
+        assert f.levels[0].ideal == mk(2, (1, 0))
+        assert f.levels[1].ideal.is_unit
 
     def test_unmixed_has_one_jump(self):
         f = dimension_filtration(two_planes_ideal())
         assert f.t == 2
         assert [lv.nonzero for lv in f.levels] == [False, False, True]
-        assert f.level(2).ideal.is_unit
+        assert f.levels[2].ideal.is_unit
 
     def test_unit_rejected(self):
         with pytest.raises(UndefinedModuleError, match="the unit ideal defines the zero module"):
@@ -99,10 +99,10 @@ class TestDimensionFiltration:
         f = dimension_filtration(I)
         d = len(f.levels) - 1
         for i in range(d):
-            a, b = f.level(i).ideal, f.level(i + 1).ideal
+            a, b = f.levels[i].ideal, f.levels[i + 1].ideal
             # I^(i) subseteq I^(i+1)
             assert all(b.contains(g) for g in a.gens) or b.is_unit
-        assert f.level(d).ideal.is_unit
+        assert f.levels[d].ideal.is_unit
         assert f.t == min(lv.index for lv in f.levels if lv.nonzero)
 
     @given(small_ideals)
@@ -246,7 +246,7 @@ class TestDepthIntervals:
         # has dim 2 and M/M_2 = S/(x1) depth 3 > depth M, so depth M_2 is
         # depth M; the top quotient M/M_2 is S/I^(2) = S/(x1) itself
         f = dimension_filtration(parse_generators("x1^2,x1*x3", nvars=4))
-        top = profile(f.level(2).ideal).depth
+        top = profile(f.levels[2].ideal).depth
         assert top == 3
         assert [(iv.module, iv.quotient) for iv in quotient_depth_intervals(f)] == [
             (None, None),
@@ -260,7 +260,7 @@ class TestDepthIntervals:
         # M_3 = M_2, its quotient is zero, and the top quotient M/M_3 is
         # S/I^(3) = S/(x3), read off the level below the top
         f = dimension_filtration(parse_generators("x2*x3,x3^2,x3*x5", nvars=5))
-        top = profile(f.level(3).ideal).depth
+        top = profile(f.levels[3].ideal).depth
         assert top == 4
         assert [(iv.module, iv.quotient) for iv in quotient_depth_intervals(f)] == [
             (None, None),
@@ -290,11 +290,13 @@ class TestDepthIntervals:
         cycles = [cycle_edge_ideal(k, field) for k in range(3, 15) for field in (QQ, F2)]
         wide, not_seqcm = [], 0
         for I in pool_low_dim + pool_mixed_dim + cycles:
-            quots = [iv for iv in quotient_depth_intervals(dimension_filtration(I)) if iv.quotient]
-            if any(iv.quotient.lo != iv.quotient.hi for iv in quots):
+            f = dimension_filtration(I)
+            quots = [(lv.index, iv.quotient) for lv, iv in zip(f.levels, quotient_depth_intervals(f))
+                     if iv.quotient]
+            if any(q.lo != q.hi for _, q in quots):
                 wide.append(I)
                 continue
-            levelled = all(iv.quotient.lo == iv.index for iv in quots)
+            levelled = all(q.lo == i for i, q in quots)
             assert levelled == (is_sequentially_cm(I).status == "true"), I.format()
             not_seqcm += not levelled
         assert not_seqcm == 260
@@ -321,9 +323,9 @@ class TestDepthIntervals:
             f = dimension_filtration(I)
             iv = quotient_depth_intervals(f)
             d = len(f.levels) - 1
-            below = profile(f.level(d - 1).ideal if d else I).depth
+            below = profile(f.levels[d - 1].ideal if d else I).depth
             assert iv[d].quotient == (below, below), I.format()
-            assert all(x.lo == x.hi for lv in iv for x in lv[1:] if x is not None), I.format()
+            assert all(x.lo == x.hi for lv in iv for x in lv if x is not None), I.format()
             for prev, cur in zip(iv, iv[1:]):
                 trio = (prev.module, cur.module, cur.quotient)
                 if None not in trio:
@@ -339,8 +341,10 @@ class TestDepthIntervals:
         if I.is_unit:
             return
         f = dimension_filtration(I)
-        for lv, entry in zip(f.levels, quotient_depth_intervals(f)):
-            assert entry.index == lv.index
+        intervals = quotient_depth_intervals(f)
+        assert len(intervals) == len(f.levels)
+        for i, (lv, entry) in enumerate(zip(f.levels, intervals)):
+            assert lv.index == i
             if not lv.nonzero:
                 assert entry.module is None
                 continue
@@ -477,7 +481,7 @@ class TestAttReport:
         f = dimension_filtration(I)
         assert all(c.kind == "full" and c.tag == "seqcm-level" for c in claims)
         for claim in claims:
-            assert claim.primes == f.level(claim.degree).ass_level
+            assert claim.primes == f.levels[claim.degree].ass_level
 
     def test_depth_min_att_on_embedded_example(self):
         # Ass = {(x), (x,y)} and Assd = {(x,y)}: the embedded prime is a
@@ -578,7 +582,7 @@ class TestPsupp:
             for i in range(-1, n + 2):
                 expect = tuple(
                     face for face, t in local.items()
-                    if 0 <= i - len(face) < len(t.degrees) and t.at(i - len(face)).nonzero
+                    if 0 <= i - len(face) < len(t.degrees) and t.degrees[i - len(face)].nonzero
                 )
                 assert psupp_monomial(I, i) == expect, (I.format(), i)
 
@@ -586,10 +590,9 @@ class TestPsupp:
 class TestProbe:
     def test_fixed_seed_report(self):
         cfg = ProbeConfig(samples=60, max_vertices=6, min_vertices=3, seed=11)
-        rep = probe_open_question(cfg)
-        assert rep.samples_run == 60
-        assert rep.eligible > 0
-        assert rep.hits == ()
+        eligible, hits = probe_open_question(cfg)
+        assert 0 < eligible <= cfg.samples
+        assert hits == ()
 
     def test_deterministic(self):
         cfg = ProbeConfig(samples=30, seed=5)
@@ -597,6 +600,6 @@ class TestProbe:
 
     def test_hits_would_carry_instance_data(self):
         # structural check on the report shape only
-        rep = probe_open_question(ProbeConfig(samples=10, seed=0))
-        assert rep.config.samples == 10
-        assert isinstance(rep.hits, tuple)
+        eligible, hits = probe_open_question(ProbeConfig(samples=10, seed=0))
+        assert 0 <= eligible <= 10
+        assert isinstance(hits, tuple)

@@ -45,7 +45,6 @@ from maxdepth.filtration import (
     att_report,
     dimension_filtration,
     is_sequentially_cm,
-    probe_open_question,
     quotient_depth_intervals,
 )
 from maxdepth.invariants import HochsterDegree, profile
@@ -360,7 +359,7 @@ def public_records():
         Limits(), I.ring.field_spec, I.ring, I.gens[0], prof.ass[0], I,
         triangle, boundary_matrix(triangle, 1), prof.hochster.degrees[0], prof.hochster, prof,
         f.levels[0], f, levels[-1], levels[-1].module, is_sequentially_cm(J), att_report(I)[0],
-        ProbeConfig(), ProbeHit(I, 1, 1, 2), probe_open_question(ProbeConfig(samples=5)),
+        ProbeConfig(), ProbeHit(I, 1, 1, 2),
     ]
 
 

@@ -221,8 +221,8 @@ RULES = (
      r"invariants\.py",
      "localization_profile sets x_F = 1 on any ideal, not through link F and the dual"),
     ("results-are-plain-values",
-     grep(r"\b(HomologyVector|AttReport|PsuppEntry|LocalizationProfile|Polarization)\b"), ALL,
-     "results are the values themselves, not records repeating the caller's arguments"),
+     grep(r"\b(HomologyVector|AttReport|PsuppEntry|LocalizationProfile|Polarization|ProbeReport)\b"),
+     ALL, "results are the values themselves, not records repeating the caller's arguments"),
     ("no-dataclasses", grep(r"^\s*(import|from)\s+dataclasses\b"), ALL,
      "every CLI call is a fresh interpreter, and dataclasses loads inspect; use named tuples"),
     ("one-divisibility-test", lshift_uses, ALL,
@@ -231,6 +231,8 @@ RULES = (
     ("one-table-route", grep(r"\b(complex_table|facet_subcomplex_min_dim)\b"),
      r"(?!invariants\.py$).*",
      "every local cohomology table is read through profile's per-(ideal, Limits) memo"),
+    ("one-reader-per-fact", grep(r"\.(at|level)\(|hochster\.(depth|dim)\b"), ALL,
+     "a table degree is degrees[i] and a level is levels[i]; depth and dim are the profile's"),
 )
 
 
@@ -254,8 +256,9 @@ VIOLATIONS = {
     "localization-by-substitution": ("link(cx, F)\nto_ideal(cx)\nSquarefreeRequiredError\nos.unlink(p)",
                                      [1, 2, 3]),
     "results-are-plain-values": ("AttReport(c)\nHomologyVector\nPsuppEntry\nLocalizationProfile\n"
-                                 "ModuleProfile\nreturn Polarization(J, a, owner)\n# the polarization",
-                                 [1, 2, 3, 4, 6]),
+                                 "ModuleProfile\nreturn Polarization(J, a, owner)\n# the polarization\n"
+                                 "return ProbeReport(config, n, eligible, hits)\nProbeHit(I, 1, 1, 2)",
+                                 [1, 2, 3, 4, 6, 8]),
     "no-dataclasses": ("import dataclasses\nfrom dataclasses import field\nif 1:\n"
                        "    import dataclasses as dc\nimport dataclasses_json", [1, 2, 4]),
     "one-divisibility-test": ("\n".join([
@@ -275,6 +278,9 @@ VIOLATIONS = {
     "one-table-route": ("t = complex_table(facet_subcomplex_min_dim(cx, i), field_spec)\n"
                         "t = profile(lv.ideal).hochster\n"
                         "from .invariants import complex_table, profile", [1, 3]),
+    "one-reader-per-fact": ("t.at(k).contributions\nf8.level(3).ideal\nprof.hochster.depth\n"
+                            "hochster.dim\nt.degrees[k]\nf8.levels[3]\nprof.depth\n"
+                            "hochster.dimension\nlevel(i)", [1, 2, 3, 4]),
 }
 
 
