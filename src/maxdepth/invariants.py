@@ -62,7 +62,8 @@ class HochsterTable(NamedTuple):
     degrees: tuple[HochsterDegree, ...]  # cohomological degrees 0..dim
 
 
-def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
+def complex_table(cx: SimplicialComplex, field: FieldSpec,
+                  twins: tuple[tuple[int, ...], ...] = ()) -> HochsterTable:
     """Local cohomology nonvanishing table of k[cx] from link homology.
 
     Degree i collects dim H~_{i-|s|-1}(link s) over all faces s; finite
@@ -75,14 +76,45 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
     the cone C of vertices in every facet, and meet(s) = meet'(s - C) + C
     for meet' over the facets less C, which `face_meets` walks.  The link's
     facets are the masks of the facets through s, less s.
+
+    `twins` are classes of interchangeable vertices: swapping two vertices
+    of a class must map facets to facets.  Such a swap is an automorphism
+    of cx, so it maps each face to one with an isomorphic link, and a face
+    equal to its meet to another.  Each scanned face is therefore sent to
+    its orbit's representative, which holds the first k vertices of each
+    class the face meets in k vertices, and the homology is computed once
+    per representative and copied to every face of the orbit.  The faces
+    are still walked in the same order, so the table does not depend on
+    `twins`.  Cone vertices leave their class, and a class left with fewer
+    than two vertices is dropped; with none left, no representative is
+    formed.
     """
     d = max(len(f) for f in cx.facets)  # Krull dimension of k[cx]
     contribs: dict[int, list[tuple[tuple[int, ...], int]]] = {i: [] for i in range(d + 1)}
     cone = sum(1 << v for v in cone_vertices(cx))
     masks = [m ^ cone for m in cx.masks]
+    orbits = []  # (class mask, masks of its first 0, 1, 2, ... vertices)
+    for c in twins:
+        firsts = [0]
+        for v in c:
+            if not cone >> v & 1:
+                firsts.append(firsts[-1] | 1 << v)
+        if len(firsts) > 2:
+            orbits.append((firsts[-1], firsts))
+    if orbits:
+        seen: dict[int, tuple[tuple[int, int], ...]] = {}  # representative -> homology
     for s in face_tuples(sm | cone for sm, meet in face_meets(masks).items() if sm == meet):
         sm = sum(1 << v for v in s) ^ cone
-        for j, h in _mask_homology([fm ^ sm for fm in masks if fm & sm == sm], field):
+        if orbits:
+            rep = sm
+            for c, firsts in orbits:
+                rep = rep & ~c | firsts[(sm & c).bit_count()]
+            if rep not in seen:
+                seen[rep] = _mask_homology([fm ^ rep for fm in masks if fm & rep == rep], field)
+            homology = seen[rep]
+        else:
+            homology = _mask_homology([fm ^ sm for fm in masks if fm & sm == sm], field)
+        for j, h in homology:
             contribs[j + len(s) + 1].append((s, h))
     return HochsterTable(tuple(HochsterDegree(i, tuple(contribs[i])) for i in range(d + 1)))
 
@@ -90,12 +122,18 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec) -> HochsterTable:
 def _shifted_table(I: MonomialIdeal) -> HochsterTable:
     """Table of S/I: non-squarefree ideals go through polarization, whose
     table is shifted down by the number of added variables.  `polarize`
-    checks the vertex cap before it builds the polarized ring."""
+    checks the vertex cap before it builds the polarized ring.  Vertices of
+    pol I that lie in the same generators are interchangeable, so their
+    classes go to `complex_table` as twins."""
     field = I.ring.field_spec
     if I.is_squarefree:
         return complex_table(from_squarefree_ideal(I), field)
     pol = polarize(I)
-    raw = complex_table(from_squarefree_ideal(pol), field)
+    columns: dict[tuple[int, ...], list[int]] = {}
+    for v, column in enumerate(zip(*(g.exponents for g in pol.gens))):
+        columns.setdefault(column, []).append(v)
+    twins = tuple(tuple(c) for c in columns.values() if len(c) > 1)
+    raw = complex_table(from_squarefree_ideal(pol), field, twins)
     a = pol.ring.n - I.ring.n
     if any(d.nonzero for d in raw.degrees[:a]):
         raise InternalCheckError("polarized table nonzero below the shift")

@@ -6,20 +6,28 @@ ranks: every face listed by dimension, one validated boundary matrix per
 degree, each ranked by `rank` over the given field.
 
 Run as a script, it compares both routes over a seeded pool of random
-complexes over QQ, GF(2) and GF(3) and exits 1 on any mismatch:
+complexes over QQ, GF(2) and GF(3).  It also compares the face scan that
+computes one link per orbit of interchangeable vertices with the plain
+scan, on the polarizations of a seeded pool of non-squarefree ideals on 2-6
+variables with exponents up to 3 (at most 12 polarized vertices), over the
+same fields.  It exits 1 on any mismatch:
 
-    PYTHONPATH=src python tests/homology_oracle.py --samples 2000 --seed 1
+    PYTHONPATH=src python tests/homology_oracle.py --samples 2000 --ideals 400 --seed 1
 """
 import argparse
 import random
 import sys
 from time import perf_counter
 
-from maxdepth.ideals import F2, FieldSpec, QQ
+from maxdepth.complexes import from_squarefree_ideal
+from maxdepth.ideals import F2, FieldSpec, QQ, polarize
+from maxdepth.invariants import complex_table
 from maxdepth.linalg import SparseMatrix, rank, reduced_homology
 from maxdepth.random_instances import random_complex
 
+from conftest import random_monomial_ideal
 from faces_oracle import all_faces
+from reisner_oracle import twin_classes
 
 FIELDS = (QQ, F2, FieldSpec(3))
 
@@ -63,9 +71,22 @@ def pool(seed, samples):
     return [random_complex(rng, rng.randint(3, 9)) for _ in range(samples)]
 
 
+def polarized_pool(seed, samples):
+    """Polarizations of seeded non-squarefree ideals on 2-6 variables, with
+    up to 5 generators and exponents up to 3, on at most 12 vertices."""
+    rng = random.Random(seed)
+    pols = []
+    while len(pols) < samples:
+        I = random_monomial_ideal(rng, rng.randint(2, 6), max_gens=5, max_exp=3)
+        if not I.is_squarefree and (J := polarize(I)).ring.n <= 12:
+            pols.append(J)
+    return pols
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--samples", type=int, default=2000)
+    ap.add_argument("--ideals", type=int, default=400)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     t0 = perf_counter()
@@ -79,7 +100,17 @@ def main(argv=None) -> int:
                 print(f"mismatch over {field}: {cx.facets} gave {got}, expected {want}")
     print(f"{args.samples} complexes x {len(FIELDS)} fields, {mismatches} mismatches, "
           f"{perf_counter() - t0:.1f} s")
-    return 1 if mismatches else 0
+    t0 = perf_counter()
+    orbit_mismatches = 0
+    for J in polarized_pool(args.seed, args.ideals):
+        cx, twins = from_squarefree_ideal(J), twin_classes(J)
+        for field in FIELDS:
+            if complex_table(cx, field, twins) != complex_table(cx, field):
+                orbit_mismatches += 1
+                print(f"orbit scan mismatch over {field}: {J.format()} with twins {twins}")
+    print(f"{args.ideals} polarizations x {len(FIELDS)} fields, orbit scan against plain "
+          f"scan, {orbit_mismatches} mismatches, {perf_counter() - t0:.1f} s")
+    return 1 if mismatches or orbit_mismatches else 0
 
 
 if __name__ == "__main__":

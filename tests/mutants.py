@@ -127,6 +127,21 @@ MUTANTS = (
         "a = pol.ring.n - I.ring.n - 1",
         ("tests/test_invariants.py::TestProfile::test_invariant_chain",),
     ),
+    # the orbit representative holds one vertex too few of each class
+    Mutant(
+        "twin-rep-shift", "invariants.py",
+        "rep = rep & ~c | firsts[(sm & c).bit_count()]",
+        "rep = rep & ~c | firsts[(sm & c).bit_count() - 1]",
+        ("tests/test_invariants.py::TestComplexTable::test_twin_orbits_match_the_plain_scan",),
+    ),
+    # vertices grouped by how many generators hold them, not by which
+    Mutant(
+        "twins-by-support", "invariants.py",
+        "columns.setdefault(column, []).append(v)",
+        "columns.setdefault(sum(column), []).append(v)",
+        ("tests/test_invariants.py::TestComplexTable::"
+         "test_polarized_table_gets_the_generator_column_classes",),
+    ),
     # I_F kept as I: the localization only adds the variables of F
     Mutant(
         "no-substitution", "invariants.py",
@@ -141,6 +156,13 @@ MUTANTS = (
         "    return v\n",
         "    return int(v)\n",
         ("tests/test_cli.py::TestJsonInput::test_bad_ideal_json_is_2",),
+    ),
+    # a probe hit printed one degree too high
+    Mutant(
+        "probe-hit-degree", "cli.py",
+        '"degree": h.degree,',
+        '"degree": h.degree + 1,',
+        ("tests/test_cli.py::TestOtherCommands::test_probe_hit_rendering",),
     ),
 )
 

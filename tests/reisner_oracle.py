@@ -3,7 +3,8 @@ face at a time: the independent oracle for the face scan in
 `maxdepth.invariants` and the table readings in `maxdepth.filtration`.
 
 These were the engine's own routes before cone links were skipped and both
-answers were read off the cached Hochster tables.
+answers were read off the cached Hochster tables.  `twin_classes` groups the
+interchangeable vertices of a polarization for the orbit scan's tests.
 """
 from maxdepth.complexes import from_squarefree_ideal, link, pure_skeleton
 from maxdepth.invariants import complex_table
@@ -20,6 +21,20 @@ def table_by_all_faces(cx, field):
         for j, h in reduced_homology(link(cx, s), field):
             contribs[j + len(s) + 1].append((s, h))
     return tuple(tuple(c) for c in contribs)
+
+
+def twin_classes(J):
+    """Classes of two or more vertices of the squarefree ideal J that lie in
+    exactly the same generators, found by comparing vertices pairwise."""
+    classes = []
+    for v in range(J.ring.n):
+        for c in classes:
+            if all(g.exponents[v] == g.exponents[c[0]] for g in J.gens):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(tuple(c) for c in classes if len(c) > 1)
 
 
 def seqcm_by_rescan(I):

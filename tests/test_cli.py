@@ -187,6 +187,23 @@ class TestOtherCommands:
         assert (q["samples"], q["eligible"]) == (5, 5)
         assert (f2["samples"], f2["eligible"]) == (5, 0)
 
+    def test_probe_hit_rendering(self, capsys, monkeypatch):
+        # the Moebius band 123, 124, 135, 245, 345 with the isolated vertex
+        # 6 hits at degree 2 (tests/test_filtration.py::TestProbe)
+        moebius = SimplicialComplex(6, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4), (2, 3, 4), (5,)))
+        monkeypatch.setattr(filtration, "random_complex", lambda rng, n: moebius)
+        gens = ["x5*x6", "x4*x6", "x3*x6", "x2*x6", "x1*x6",
+                "x2*x3*x5", "x2*x3*x4", "x1*x4*x5", "x1*x3*x4", "x1*x2*x5"]
+        hit = {"gens": gens, "vars": ["x1", "x2", "x3", "x4", "x5", "x6"],
+               "degree": 2, "depth": 1, "dim": 3}
+        assert run_json(capsys, "--samples=2", "probe") == {
+            "samples": 2, "eligible": 2, "hits": [hit, hit]}
+        code, out, err = run_cli(capsys, "--samples=2", "probe")
+        row = (f"  gens=({', '.join(gens)})  vars=(x1, x2, x3, x4, x5, x6)"
+               "  degree=2  depth=1  dim=3")
+        assert (code, err) == (0, "")
+        assert out == "\n".join(["samples: 2", "eligible: 2", "hits:", row, row]) + "\n"
+
     def test_regress(self, capsys):
         code, out, err = run_cli(capsys, "regress")
         assert code == 0

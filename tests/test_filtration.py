@@ -17,12 +17,13 @@ from maxdepth.ideals import (
     ring,
     unit_ideal,
 )
-from maxdepth import ideals, invariants
-from maxdepth.complexes import cycle_edge_ideal, to_ideal
+from maxdepth import filtration, ideals, invariants
+from maxdepth.complexes import SimplicialComplex, cycle_edge_ideal, to_ideal
 from maxdepth.invariants import localization_profile, profile
 from maxdepth.filtration import (
     AttClaim,
     ProbeConfig,
+    ProbeHit,
     ass_of_submodule,
     att_report,
     dimension_filtration,
@@ -603,3 +604,21 @@ class TestProbe:
         eligible, hits = probe_open_question(ProbeConfig(samples=10, seed=0))
         assert 0 <= eligible <= 10
         assert isinstance(hits, tuple)
+
+    @pytest.mark.parametrize("field", [QQ, F2])
+    def test_moebius_band_is_a_hit(self, monkeypatch, field):
+        # the 5-vertex Moebius band 123, 124, 135, 245, 345 and the isolated
+        # vertex 6: disconnected, so depth 1, and the facet {6} makes
+        # mdepth 1; H^2 gets only H~_1 of the band (a circle) from the empty
+        # face, since every vertex link of the band is a path, so it is
+        # nonzero of finite length
+        moebius = SimplicialComplex(6, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4), (2, 3, 4), (5,)))
+        monkeypatch.setattr(filtration, "random_complex", lambda rng, n: moebius)
+        eligible, hits = probe_open_question(ProbeConfig(samples=3, field=field))
+        I = to_ideal(moebius, ring(6, field))
+        assert eligible == 3
+        assert hits == (ProbeHit(I, 2, 1, 3),) * 3
+        assert [(h.degree, h.depth, h.dim) for h in hits] == [(2, 1, 3)] * 3
+        assert all(h.ideal == I and h.ideal.ring.field_spec == field for h in hits)
+        assert I.format() == ("(x5*x6, x4*x6, x3*x6, x2*x6, x1*x6, "
+                              "x2*x3*x5, x2*x3*x4, x1*x4*x5, x1*x3*x4, x1*x2*x5)")

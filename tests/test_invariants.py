@@ -2,7 +2,7 @@ import itertools
 import random
 import tracemalloc
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,10 +48,10 @@ from maxdepth.invariants import (
 from maxdepth.random_instances import random_complex
 from maxdepth.regress import c8_ideal, two_planes_ideal
 
-from conftest import POOL_SEED
+from conftest import POOL_SEED, random_monomial_ideal
 from faces_oracle import all_faces
 from intersect_oracle import prime_ideal
-from reisner_oracle import table_by_all_faces
+from reisner_oracle import table_by_all_faces, twin_classes
 
 RP2 = SimplicialComplex(
     6,
@@ -447,3 +447,73 @@ class TestComplexTable:
         for field in (QQ, F2):
             got = tuple(d.contributions for d in complex_table(cx, field).degrees)
             assert got == table_by_all_faces(cx, field), (n, field)
+
+    @pytest.fixture(scope="class")
+    def polarized_twins(self, pool_mixed):
+        """(complex, twin classes, field) for the polarizations on at most 10
+        vertices of `pool_mixed` and of a seeded non-squarefree pool on 2-5
+        variables with exponents up to 3, each over QQ and GF(2)."""
+        rng = random.Random(POOL_SEED + 7)
+        seeded = [I for I in (random_monomial_ideal(rng, rng.randint(2, 5), max_gens=5, max_exp=3)
+                              for _ in range(300)) if not I.is_squarefree]
+        pols = {J.gens: J for J in map(polarize, pool_mixed + seeded) if J.ring.n <= 10}
+        return [(from_squarefree_ideal(J), twin_classes(J), field)
+                for _, J in sorted(pols.items()) for field in (QQ, F2)]
+
+    def test_twin_orbits_match_the_plain_scan(self, polarized_twins):
+        with_twins = 0
+        for cx, twins, field in polarized_twins:
+            assert complex_table(cx, field, twins) == complex_table(cx, field), (cx, twins, field)
+            with_twins += bool(twins)
+        assert with_twins > 400
+
+    def test_twin_orbits_match_all_faces_scan(self, polarized_twins):
+        checked = [(cx, twins, field) for cx, twins, field in polarized_twins
+                   if any(len(c) > 2 for c in twins)][:40]
+        assert len(checked) == 40
+        for cx, twins, field in checked:
+            got = tuple(d.contributions for d in complex_table(cx, field, twins).degrees)
+            assert got == table_by_all_faces(cx, field), (cx, twins, field)
+
+    def test_non_twins_as_a_class_change_a_table(self, polarized_twins):
+        # negative control: a swap of two vertices in different generators
+        # is no automorphism, so its orbits do not share link homology
+        changed = 0
+        for cx, twins, field in polarized_twins[:200]:
+            cone, union = reduce(and_, cx.masks), reduce(or_, cx.masks)
+            free = [v for v in range(cx.n) if (union & ~cone) >> v & 1]
+            pairs = [(v, w) for v, w in itertools.combinations(free, 2)
+                     if not any(v in c and w in c for c in twins)]
+            if not pairs:
+                continue
+            try:
+                orbit_table = complex_table(cx, field, pairs[:1])
+            except ValueError:  # a representative that is no face has no star
+                continue
+            changed += orbit_table != complex_table(cx, field)
+        assert changed > 20
+
+    def test_polarized_table_gets_the_generator_column_classes(self, pool_mixed, monkeypatch):
+        # `_shifted_table` groups the vertices of pol I that lie in the same
+        # generators, and its table is the plain scan's, shifted
+        seen = []
+
+        def spy(cx, field, twins=()):
+            seen.append(twins)
+            return complex_table(cx, field, twins)
+
+        monkeypatch.setattr(invariants, "complex_table", spy)
+        grouped = 0
+        for I in pool_mixed:
+            if I.is_squarefree:
+                continue
+            J = polarize(I)
+            if J.ring.n > 10:
+                continue
+            got = invariants._shifted_table(I)
+            assert seen.pop() == twin_classes(J), I.format()
+            grouped += bool(twin_classes(J))
+            plain = complex_table(from_squarefree_ideal(J), I.ring.field_spec).degrees
+            a = J.ring.n - I.ring.n
+            assert [d.contributions for d in got.degrees] == [d.contributions for d in plain[a:]]
+        assert grouped > 100
