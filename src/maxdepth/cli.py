@@ -56,8 +56,8 @@ def _prime_names(p, rng) -> list[str]:
 def profile_json(prof: ModuleProfile) -> dict:
     rng = prof.ring
     h_table = []
-    for d in prof.hochster.degrees:
-        row = {"i": d.degree, "nonzero": d.nonzero, "finite_length": d.finite_length}
+    for i, d in enumerate(prof.hochster.degrees):
+        row = {"i": i, "nonzero": d.nonzero, "finite_length": d.finite_length}
         if d.k_dim is not None:
             row["k_dim"] = d.k_dim
         h_table.append(row)

@@ -271,7 +271,7 @@ def probe_open_question(config: ProbeConfig) -> tuple[int, tuple[ProbeHit, ...]]
         if not (prof.maximal_depth and prof.depth > 0):
             continue
         eligible += 1
-        for entry in prof.hochster.degrees:
+        for i, entry in enumerate(prof.hochster.degrees):
             if entry.nonzero and entry.finite_length:
-                hits.append(ProbeHit(I, entry.degree, prof.depth, prof.dim))
+                hits.append(ProbeHit(I, i, prof.depth, prof.dim))
     return eligible, tuple(hits)

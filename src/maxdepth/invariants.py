@@ -8,6 +8,8 @@ through polarization with the documented degree shift.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import NamedTuple
 
 from .errors import (
@@ -29,7 +31,6 @@ from .ideals import (
 )
 from .complexes import (
     SimplicialComplex,
-    cone_vertices,
     face_meets,
     face_tuples,
     from_squarefree_ideal,
@@ -38,7 +39,6 @@ from .linalg import _mask_homology, reduced_homology
 
 
 class HochsterDegree(NamedTuple):
-    degree: int
     contributions: tuple[tuple[tuple[int, ...], int], ...]  # (face, homology dim)
 
     @property
@@ -59,7 +59,7 @@ class HochsterDegree(NamedTuple):
 
 
 class HochsterTable(NamedTuple):
-    degrees: tuple[HochsterDegree, ...]  # cohomological degrees 0..dim
+    degrees: tuple[HochsterDegree, ...]  # cohomological degree i at position i, 0..dim
 
 
 def complex_table(cx: SimplicialComplex, field: FieldSpec,
@@ -86,13 +86,14 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec,
     per representative and copied to every face of the orbit.  The faces
     are still walked in the same order, so the table does not depend on
     `twins`.  Cone vertices leave their class, and a class left with fewer
-    than two vertices is dropped; with none left, no representative is
-    formed.
+    than two vertices is dropped; with no class, each face is its own
+    representative.
     """
     d = max(len(f) for f in cx.facets)  # Krull dimension of k[cx]
-    contribs: dict[int, list[tuple[tuple[int, ...], int]]] = {i: [] for i in range(d + 1)}
-    cone = sum(1 << v for v in cone_vertices(cx))
-    masks = [m ^ cone for m in cx.masks]
+    contribs: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(d + 1)]
+    masks = cx.masks
+    cone = reduce(and_, masks)
+    masks = [m ^ cone for m in masks]
     orbits = []  # (class mask, masks of its first 0, 1, 2, ... vertices)
     for c in twins:
         firsts = [0]
@@ -101,22 +102,16 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec,
                 firsts.append(firsts[-1] | 1 << v)
         if len(firsts) > 2:
             orbits.append((firsts[-1], firsts))
-    if orbits:
-        seen: dict[int, tuple[tuple[int, int], ...]] = {}  # representative -> homology
+    seen: dict[int, tuple[tuple[int, int], ...]] = {}  # representative -> homology
     for s in face_tuples(sm | cone for sm, meet in face_meets(masks).items() if sm == meet):
-        sm = sum(1 << v for v in s) ^ cone
-        if orbits:
-            rep = sm
-            for c, firsts in orbits:
-                rep = rep & ~c | firsts[(sm & c).bit_count()]
-            if rep not in seen:
-                seen[rep] = _mask_homology([fm ^ rep for fm in masks if fm & rep == rep], field)
-            homology = seen[rep]
-        else:
-            homology = _mask_homology([fm ^ sm for fm in masks if fm & sm == sm], field)
-        for j, h in homology:
+        sm = rep = sum(1 << v for v in s) ^ cone
+        for c, firsts in orbits:
+            rep = rep & ~c | firsts[(sm & c).bit_count()]
+        if rep not in seen:
+            seen[rep] = _mask_homology([fm ^ rep for fm in masks if fm & rep == rep], field)
+        for j, h in seen[rep]:
             contribs[j + len(s) + 1].append((s, h))
-    return HochsterTable(tuple(HochsterDegree(i, tuple(contribs[i])) for i in range(d + 1)))
+    return HochsterTable(tuple(HochsterDegree(tuple(c)) for c in contribs))
 
 
 def _shifted_table(I: MonomialIdeal) -> HochsterTable:
@@ -137,8 +132,7 @@ def _shifted_table(I: MonomialIdeal) -> HochsterTable:
     a = pol.ring.n - I.ring.n
     if any(d.nonzero for d in raw.degrees[:a]):
         raise InternalCheckError("polarized table nonzero below the shift")
-    degrees = tuple(HochsterDegree(d.degree - a, d.contributions) for d in raw.degrees[a:])
-    return HochsterTable(degrees)
+    return HochsterTable(raw.degrees[a:])
 
 
 class ModuleProfile(NamedTuple):
@@ -181,7 +175,7 @@ def profile(I: MonomialIdeal) -> ModuleProfile:
     table = _shifted_table(I)  # before Ass, so the vertex cap is checked first
     ass = tuple(sorted(associated_primes(I)))
     dims = [p.dim_in(rng) for p in ass]
-    nonzero = [d.degree for d in table.degrees if d.nonzero]
+    nonzero = [i for i, d in enumerate(table.degrees) if d.nonzero]
     depth, dim = min(nonzero), max(nonzero)
     if dim != max(dims):
         raise InternalCheckError(
@@ -269,7 +263,7 @@ def direct_sum_profile(profiles: list[ModuleProfile]) -> ModuleProfile:
     ass = tuple(sorted({p for pr in profiles for p in pr.ass}))
     dim_s = max(p.dim for p in profiles)
     merged = tuple(
-        HochsterDegree(i, tuple(
+        HochsterDegree(tuple(
             c for p in profiles if i < len(p.hochster.degrees)
             for c in p.hochster.degrees[i].contributions
         ))

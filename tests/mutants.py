@@ -107,6 +107,15 @@ MUTANTS = (
         ("tests/test_invariants.py::TestScalars::test_zero_ideal",
          "tests/test_invariants.py::TestComplexTable::test_walk_leaves_out_the_cone"),
     ),
+    # no cone read: the walk runs on the full facets, and the faces it
+    # yields are the same, so every table stays the same; only the spy on
+    # the walk's masks tells
+    Mutant(
+        "cone-unread", "invariants.py",
+        "cone = reduce(and_, masks)",
+        "cone = 0",
+        ("tests/test_invariants.py::TestComplexTable::test_walk_leaves_out_the_cone",),
+    ),
     # the GF(2) ranks answer over QQ even when the strong core keeps torsion
     Mutant(
         "gf2-over-qq", "linalg.py",
@@ -125,6 +134,13 @@ MUTANTS = (
         "shift-a-minus-1", "invariants.py",
         "a = pol.ring.n - I.ring.n",
         "a = pol.ring.n - I.ring.n - 1",
+        ("tests/test_invariants.py::TestProfile::test_invariant_chain",),
+    ),
+    # the table read as if it started at degree 1
+    Mutant(
+        "degree-from-one", "invariants.py",
+        "enumerate(table.degrees)",
+        "enumerate(table.degrees, 1)",
         ("tests/test_invariants.py::TestProfile::test_invariant_chain",),
     ),
     # the orbit representative holds one vertex too few of each class

@@ -395,9 +395,7 @@ class TestRecords:
         assert repr(SimplicialComplex(3, ((0, 1), (1, 2), (0, 2), (1,)))) == (
             "SimplicialComplex(n=3, facets=((0, 1), (0, 2), (1, 2)))"
         )
-        assert repr(HochsterDegree(1, (((), 1),))) == (
-            "HochsterDegree(degree=1, contributions=(((), 1),))"
-        )
+        assert repr(HochsterDegree((((), 1),))) == "HochsterDegree(contributions=(((), 1),))"
 
     def test_sort_order(self):
         monomials = [Monomial((0, 2)), Monomial((1, 0)), Monomial((0, 1)), Monomial((1, 1))]

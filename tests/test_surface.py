@@ -162,6 +162,14 @@ def test_stdlib_check_flags_synthetic_source():
     assert non_stdlib_imports(source) == [2, 3, 4, 8]
 
 
+def test_families_oracle_shares_no_code_with_the_engine():
+    # the closed forms check the engine from arithmetic alone: stdlib
+    # imports only, so nothing from maxdepth or from the other oracles
+    source = (REPO / "tests" / "families_oracle.py").read_text(encoding="utf-8")
+    assert non_stdlib_imports(source) == []
+    assert non_stdlib_imports("from maxdepth.cli import main\nimport reisner_oracle") == [1, 2]
+
+
 def assert_lines(source):
     return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
 
