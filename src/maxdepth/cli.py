@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import regress as regress_mod
@@ -310,6 +311,7 @@ def _dispatch(args) -> tuple[int, str]:
         if cmd == "analyze":
             out = profile_json(profile(I))
         elif cmd == "filtration":
+            profile(I)  # rejects the unit ideal, then checks the vertex cap before the cover search
             out = filtration_json(dimension_filtration(I))
         elif cmd == "seqcm":
             out = seqcm_json(is_sequentially_cm(I))
@@ -354,7 +356,10 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f'error kind={exc.kind} msg="{exc}"', file=sys.stderr)
         return exc.exit_code
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader has gone: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

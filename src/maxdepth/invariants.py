@@ -1,10 +1,9 @@
 """Module-level invariants of M = S/I.
 
-Depth, mdepth and every predicate come from the face scan over link homology.
-`projdim` reads Betti numbers off upper-Koszul subcomplexes over the lcm
-lattice; `profile` never calls it, and only the tests and `regress` check
-depth = n - projdim (Auslander-Buchsbaum).  Non-squarefree ideals are handled
-through polarization with the documented degree shift.
+Depth, mdepth and every predicate come from the face scan over link homology,
+and `projdim` is n - depth (Auslander-Buchsbaum); the Betti numbers over the
+lcm lattice are the test oracle `tests/betti_oracle.py`.  Non-squarefree
+ideals are handled through polarization with the documented degree shift.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from .complexes import (
     face_tuples,
     from_squarefree_ideal,
 )
-from .linalg import _mask_homology, reduced_homology
+from .linalg import _mask_homology
 
 
 class HochsterDegree(NamedTuple):
@@ -186,44 +185,9 @@ def profile(I: MonomialIdeal) -> ModuleProfile:
     )
 
 
-# ---------------------------------------------------------------------------
-# independent depth route: Betti numbers over the lcm lattice
-
-def _upper_koszul(I: MonomialIdeal, b: Monomial) -> SimplicialComplex:
-    """Faces s of the variable set with x^b / x_s still inside I."""
-    n = I.ring.n
-    sup = b.support
-    faces = []
-    for s in face_tuples(face_meets([sum(1 << v for v in sup)])):
-        exps = list(b.exponents)
-        for v in s:
-            exps[v] -= 1
-        if I.contains(Monomial(tuple(exps))):
-            faces.append(s)
-    return SimplicialComplex(n, tuple(faces))
-
-
 def projdim(I: MonomialIdeal) -> int:
-    """Projective dimension of S/I via multigraded Betti numbers.
-
-    beta_{i,b}(S/I) = dim H~_{i-2} of the upper-Koszul subcomplex at b, for
-    b running over the lcm lattice of the generators.
-    """
-    if I.is_unit:
-        raise UndefinedModuleError("the unit ideal defines the zero module")
-    field = I.ring.field_spec
-    lattice: set[Monomial] = set()
-    frontier = set(I.gens)
-    while frontier:
-        lattice |= frontier
-        frontier = {
-            a.lcm(g) for a in frontier for g in I.gens
-        } - lattice
-    top = 0
-    for b in sorted(lattice, key=lambda m: (m.degree, m.exponents)):
-        for j, _ in reduced_homology(_upper_koszul(I, b), field):
-            top = max(top, j + 2)
-    return top
+    """Projective dimension of S/I: n - depth, by Auslander-Buchsbaum."""
+    return I.ring.n - profile(I).depth
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ S = K[x_1..x_n] and the edge ideal I(G), the published answers are:
 - cycle C_n (n >= 3): depth S/I = ceil((n-1)/3) and mdepth = ceil(n/3), so
   maximal depth iff n != 1 (mod 3), and S/I is sequentially
   Cohen-Macaulay iff n is 3 or 5;
-- powers I(C_n)^t with 2 <= t < ceil((n+1)/2): depth S/I^t = ceil((n-t+1)/3).
+- powers I(C_n)^t with 2 <= t < ceil((n+1)/2): depth S/I^t = ceil((n-t+1)/3);
+- projdim S/I = n - depth S/I by Auslander-Buchsbaum: n - ceil(n/3) on P_n
+  and n - ceil((n-1)/3) on C_n.
 
 mdepth is the least dim S/p over the minimal primes, the complements of
 the maximal independent sets, so it is the least size of a maximal
@@ -33,9 +35,12 @@ checked against its source offline.
   states the formula for every t in the range; the checked cases are the
   evidence here).
 
-Each formula has a negative control in `CONTROLS`: a near miss that must
-disagree with the engine somewhere in the tested range, so that a check
-which passes everything is caught.
+Each formula has a negative control in `CONTROLS` (`PROJDIM_CONTROLS` for
+projdim): a near miss that must disagree with the engine somewhere in the
+tested range, so that a check which passes everything is caught.  The
+projdim forms are checked against the Betti numbers of
+`tests/betti_oracle.py` in the test suite only: the command line interface
+has no projdim command.
 
 Run as a script, it asks the command line interface (`maxdepth analyze`
 and `maxdepth seqcm`, a fresh process per call, JSON output) for C3-C22
@@ -101,6 +106,19 @@ def cycle_answers(n):
 
 def cycle_power_depth(n, t):
     return ceil_div(n - t + 1, 3)
+
+
+# family -> projdim S/I at n, the number of vertices less the depth
+PROJDIM = {
+    "path": lambda n: n - ceil_div(n, 3),
+    "cycle": lambda n: n - ceil_div(n - 1, 3),
+}
+
+# family -> a near miss of its projdim, each the other family's form
+PROJDIM_CONTROLS = {
+    "path": lambda n: n - ceil_div(n - 1, 3),
+    "cycle": lambda n: n - ceil_div(n, 3),
+}
 
 
 # family -> its answers at a key: n for a path or a cycle, (n, t) for the

@@ -69,6 +69,14 @@ MUTANTS = (
         ("tests/test_invariants.py::TestProfile::test_two_planes_flags",
          "tests/test_invariants.py::TestTensorJoin::test_maximal_depth_iff_both"),
     ),
+    # projdim read off mdepth, which equals depth wherever S/I has
+    # maximal depth
+    Mutant(
+        "projdim-reads-mdepth", "invariants.py",
+        "return I.ring.n - profile(I).depth",
+        "return I.ring.n - profile(I).mdepth",
+        ("tests/test_invariants.py::TestProfile::test_projdim_matches_the_betti_oracle",),
+    ),
     Mutant(
         "finite-length-any", "invariants.py",
         "return all(s == () for s, _ in self.contributions)",

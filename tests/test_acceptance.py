@@ -33,7 +33,6 @@ from maxdepth.invariants import (
     direct_sum_profile,
     localization_profile,
     profile,
-    projdim,
 )
 from maxdepth.filtration import (
     ass_of_submodule,
@@ -45,6 +44,7 @@ from maxdepth.filtration import (
 from maxdepth.random_instances import random_complex
 from maxdepth.regress import C8_PRIMES, c8_ideal, two_planes_ideal
 
+import betti_oracle
 from faces_oracle import all_faces
 from intersect_oracle import intersect_all, prime_ideal
 from rank_oracle import dense
@@ -111,9 +111,9 @@ def test_criterion_3_cycle_family():
 def test_criterion_4_property_suites(pool_main, pool_small, pool_pairs, pool_mixed):
     violations = []
 
-    # a. the two depth routes agree
+    # a. the face scan's depth and the Betti numbers' projdim agree
     for I in pool_main:
-        if profile(I).depth != I.ring.n - projdim(I):
+        if profile(I).depth != I.ring.n - betti_oracle.projdim(I):
             violations.append(("a", I))
 
     # b. join depth additive, maximal depth iff both factors
@@ -237,8 +237,8 @@ def test_criterion_5_field_dependence():
         pq.cohen_macaulay
         and not p2.cohen_macaulay
         and pq.depth - p2.depth == 1
-        and pq.depth == 6 - projdim(over_q)
-        and p2.depth == 6 - projdim(over_f2)
+        and pq.depth == 6 - betti_oracle.projdim(over_q)
+        and p2.depth == 6 - betti_oracle.projdim(over_f2)
     )
     report("5 projective-plane field dependence", ok)
 

@@ -365,6 +365,18 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, "--max-vertices=3", "--search-cap=0", cmd, c5)
             assert code == 3 and "5 vertices exceeds cap 3" in err, (cmd, err)
 
+    def test_filtration_checks_the_vertex_cap_before_the_search(self, capsys):
+        # the filtration profiles I before its cover search, as the verdict
+        # does; on disjoint edges over the cap the search would run for
+        # minutes (20 edges) or recurse too deep (1100 edges)
+        c5 = "--edges=n=5; edges=1-2,2-3,3-4,4-5,1-5"
+        code, out, err = run_cli(capsys, "--max-vertices=3", "--search-cap=0", "filtration", c5)
+        assert code == 3 and "5 vertices exceeds cap 3" in err, err
+        for k in (20, 1100):
+            edges = f"--edges=n={2 * k}; edges=" + ",".join(f"{2 * i + 1}-{2 * i + 2}" for i in range(k))
+            code, out, err = run_cli(capsys, "filtration", edges)
+            assert (code, out) == (3, "") and f"{2 * k} vertices exceeds cap 24" in err, err
+
 
 class TestDeterminism:
     def test_calls_in_one_process_match_fresh_processes(self, capsys):
@@ -400,6 +412,24 @@ class TestDeterminism:
     def test_probe_byte_identical(self, capsys):
         args = ("--format=json", "--samples=20", "--seed=3", "probe")
         assert run_cli(capsys, *args) == run_cli(capsys, *args)
+
+
+class TestClosedPipe:
+    C22 = "--edges=n=22; edges=" + ",".join(f"{i}-{i % 22 + 1}" for i in range(1, 23))
+
+    @pytest.mark.parametrize("argv", [("analyze", "--gens=x1*x2"), ("--format", "json", "analyze", C22)],
+                             ids=["small", "c22-json"])
+    def test_closed_reader_is_not_an_error(self, argv):
+        # the reader closes before the output is written, as `| head` may
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(maxdepth.__file__).parents[1]))
+        try:
+            done = subprocess.run([sys.executable, "-m", "maxdepth.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestColdStart:

@@ -1,6 +1,8 @@
 """The engine against the closed forms of `tests/families_oracle.py`: paths
 P2-P16 and cycles C3-C16 over QQ and GF(2), and the depths of C4^2 and
-C5^2, each formula with its negative control."""
+C5^2, each formula with its negative control.  The projdim forms are
+checked against the Betti numbers of `tests/betti_oracle.py` on P2-P10 and
+C3-C10, over the same fields."""
 import pytest
 
 from maxdepth.complexes import parse_edge_list
@@ -8,9 +10,12 @@ from maxdepth.filtration import is_sequentially_cm
 from maxdepth.ideals import F2, QQ, parse_generators
 from maxdepth.invariants import profile
 
+import betti_oracle
 from families_oracle import (
     ANSWERS,
     CONTROLS,
+    PROJDIM,
+    PROJDIM_CONTROLS,
     cycle_edges,
     edge_list,
     path_edges,
@@ -50,3 +55,26 @@ def test_closed_forms(engine, family):
 def test_each_near_miss_fails_somewhere(engine):
     assert surviving_controls(engine) == []
     assert {family for family, _, _ in CONTROLS} == set(ANSWERS)
+
+
+@pytest.fixture(scope="module")
+def betti():
+    """(family, n, field) -> projdim S/I from the Betti numbers."""
+    return {
+        (family, n, field): betti_oracle.projdim(parse_edge_list(edge_list(n, edges(n)), field))
+        for field in (QQ, F2)
+        for family, sizes, edges in (("path", range(2, 11), path_edges),
+                                     ("cycle", range(3, 11), cycle_edges))
+        for n in sizes
+    }
+
+
+def test_projdim_closed_forms(betti):
+    assert {k: p for k, p in betti.items() if p != PROJDIM[k[0]](k[1])} == {}
+
+
+def test_each_projdim_near_miss_fails_somewhere(betti):
+    # n - ceil(n/3) and n - ceil((n-1)/3) differ exactly at n = 1 (mod 3)
+    for family, near_miss in PROJDIM_CONTROLS.items():
+        assert {n for (fam, n, _), p in betti.items() if fam == family and p != near_miss(n)} == {4, 7, 10}
+    assert set(PROJDIM_CONTROLS) == set(PROJDIM)

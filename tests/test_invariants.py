@@ -49,6 +49,7 @@ from maxdepth.invariants import (
 from maxdepth.random_instances import random_complex
 from maxdepth.regress import c8_ideal, two_planes_ideal
 
+import betti_oracle
 from conftest import POOL_SEED, random_monomial_ideal
 from faces_oracle import all_faces
 from intersect_oracle import prime_ideal
@@ -181,15 +182,21 @@ class TestProfile:
     def test_auslander_buchsbaum(self, I):
         if I.is_unit:
             return
-        assert profile(I).depth == I.ring.n - projdim(I)
+        assert profile(I).depth == I.ring.n - betti_oracle.projdim(I)
 
     def test_auslander_buchsbaum_on_the_mixed_pool(self, pool_mixed):
-        # projdim walks the lcm lattice of I itself, but profile scans every
-        # face of the polarized complex, whose vertex count reaches 15 here:
-        # (x2^3*x5^3, x1*x4^3*x5^2, x1^2*x2^3*x3^2, x1^3*x2^2*x3^3*x5^2) over
-        # GF(2) is the slowest, at about 2 s
+        # the oracle walks the lcm lattice of I itself, but profile scans
+        # every face of the polarized complex, whose vertex count reaches 15
+        # here: (x2^3*x5^3, x1*x4^3*x5^2, x1^2*x2^3*x3^2, x1^3*x2^2*x3^3*x5^2)
+        # over GF(2) is the slowest, at about 2 s
         for I in pool_mixed:
-            assert profile(I).depth == I.ring.n - projdim(I), I.format()
+            assert profile(I).depth == I.ring.n - betti_oracle.projdim(I), I.format()
+
+    def test_projdim_matches_the_betti_oracle(self, pool_mixed):
+        # depth 1 and mdepth 2 on the two planes: projdim 3, not 2
+        assert projdim(two_planes_ideal()) == betti_oracle.projdim(two_planes_ideal()) == 3
+        for I in pool_mixed:
+            assert projdim(I) == betti_oracle.projdim(I), I.format()
 
     def test_vertex_cap_checked_before_polarizing(self):
         # the polarized ring of x1^200000 would hold 200001 variables
@@ -256,9 +263,9 @@ class TestFieldDependence:
         pq, p2 = profile(over_q), profile(over_f2)
         assert (pq.dim, pq.depth) == (3, 3)
         assert (p2.dim, p2.depth) == (3, 2)
-        # the two depth routes agree for each field separately
-        assert projdim(over_q) == 6 - 3
-        assert projdim(over_f2) == 6 - 2
+        # the Betti numbers give the same projdim for each field separately
+        assert projdim(over_q) == betti_oracle.projdim(over_q) == 6 - 3
+        assert projdim(over_f2) == betti_oracle.projdim(over_f2) == 6 - 2
 
     def test_complex_depth_helper(self):
         # the complex's own table: CM over QQ, not over GF(2)

@@ -241,6 +241,8 @@ RULES = (
      "every local cohomology table is read through profile's per-(ideal, Limits) memo"),
     ("one-reader-per-fact", grep(r"\.(at|level)\(|hochster\.(depth|dim)\b"), ALL,
      "a table degree is degrees[i] and a level is levels[i]; depth and dim are the profile's"),
+    ("projdim-by-auslander-buchsbaum", grep(r"_upper_koszul"), ALL,
+     "projdim is n - depth; the Betti numbers over the lcm lattice are tests/betti_oracle.py"),
 )
 
 
@@ -289,6 +291,8 @@ VIOLATIONS = {
     "one-reader-per-fact": ("t.at(k).contributions\nf8.level(3).ideal\nprof.hochster.depth\n"
                             "hochster.dim\nt.degrees[k]\nf8.levels[3]\nprof.depth\n"
                             "hochster.dimension\nlevel(i)", [1, 2, 3, 4]),
+    "projdim-by-auslander-buchsbaum": ("def _upper_koszul(I, b):\nreturn I.ring.n - profile(I).depth\n"
+                                       "reduced_homology(_upper_koszul(I, b), field)\nupper_koszul", [1, 3]),
 }
 
 
