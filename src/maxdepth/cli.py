@@ -81,14 +81,14 @@ def filtration_json(f: DimensionFiltration) -> dict:
     rng = f.base.ring
     levels = [
         {
-            "i": lv.index,
+            "i": i,
             "ideal_gens": [g.format(rng) for g in lv.ideal.gens],
             "nonzero": lv.nonzero,
             "ass_i": [_prime_names(p, rng) for p in lv.ass_level],
             "depth_interval": list(iv.module) if iv.module else None,
             "quotient_depth_interval": list(iv.quotient) if iv.quotient else None,
         }
-        for lv, iv in zip(f.levels, quotient_depth_intervals(f))
+        for i, (lv, iv) in enumerate(zip(f.levels, quotient_depth_intervals(f)))
     ]
     return {"t": f.t, "levels": levels}
 
@@ -109,12 +109,12 @@ def att_json(claims: tuple[AttClaim, ...], I: MonomialIdeal) -> dict:
     return {
         "claims": [
             {
-                "degree": c.degree,
+                "degree": i,
                 "kind": c.kind,
                 "tag": c.tag,
                 "primes": [_prime_names(p, rng) for p in c.primes],
             }
-            for c in claims
+            for i, c in enumerate(claims)
         ],
     }
 

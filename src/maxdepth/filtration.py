@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import MalformedInputError, SquarefreeRequiredError, UndefinedModuleError
+from .errors import MalformedInputError, SquarefreeRequiredError
 from .ideals import (
     FieldSpec,
     MonomialIdeal,
@@ -27,16 +27,19 @@ from .random_instances import random_complex
 
 
 class FiltrationLevel(NamedTuple):
-    index: int
-    ideal: MonomialIdeal  # I^(i)
+    ideal: MonomialIdeal  # I^(i), for the level at position i
     nonzero: bool  # M_i != 0
     ass_level: tuple[PrimeSupport, ...]  # Ass^i = primes of dimension i
 
 
 class DimensionFiltration(NamedTuple):
     base: MonomialIdeal
-    levels: tuple[FiltrationLevel, ...]  # indices 0..dim
-    t: int  # smallest i with M_i != 0
+    levels: tuple[FiltrationLevel, ...]  # level i at position i, for i = 0..dim
+
+    @property
+    def t(self) -> int:
+        """The smallest i with M_i != 0; the top level, M = M_dim, is nonzero."""
+        return next(i for i, lv in enumerate(self.levels) if lv.nonzero)
 
 
 @per_limits
@@ -47,28 +50,18 @@ def dimension_filtration(I: MonomialIdeal) -> DimensionFiltration:
     in turn (`meet_covers`), and a level's ideal is J once the components
     of dimension i + 1 have entered.
     """
-    if I.is_unit:
-        raise UndefinedModuleError("the unit ideal defines the zero module")
     rng = I.ring
     n = rng.n
+    ass = sorted(associated_primes(I))  # rejects the unit ideal
     covers = irreducible_covers(I)  # by size: by decreasing dimension
-    ass = sorted({PrimeSupport.of(k for k, _ in c) for c in covers})  # Ass(S/I)
     li = unit_ideal(rng)
     levels = []
     for i in reversed(range(max(p.dim_in(rng) for p in ass) + 1)):
         entering = [c for c in covers if n - len(c) == i + 1]
         if entering:  # otherwise the level repeats the one above
             li = meet_covers(li, entering)
-        levels.append(
-            FiltrationLevel(
-                index=i,
-                ideal=li,
-                nonzero=li != I,
-                ass_level=tuple(p for p in ass if p.dim_in(rng) == i),
-            )
-        )
-    t = min(lv.index for lv in levels if lv.nonzero)
-    return DimensionFiltration(I, tuple(reversed(levels)), t)
+        levels.append(FiltrationLevel(li, li != I, tuple(p for p in ass if p.dim_in(rng) == i)))
+    return DimensionFiltration(I, tuple(reversed(levels)))
 
 
 def ass_of_submodule(f: DimensionFiltration, i: int) -> tuple[PrimeSupport, ...]:
@@ -81,11 +74,10 @@ def ass_of_submodule(f: DimensionFiltration, i: int) -> tuple[PrimeSupport, ...]
 def mdepth_chain(f: DimensionFiltration) -> tuple[int, ...]:
     """mdepth of each nonzero M_i; constant and equal to t."""
     rng = f.base.ring
-    out = []
-    for lv in f.levels:
-        if lv.nonzero:
-            out.append(min(p.dim_in(rng) for p in ass_of_submodule(f, lv.index)))
-    return tuple(out)
+    return tuple(
+        min(p.dim_in(rng) for p in ass_of_submodule(f, i))
+        for i, lv in enumerate(f.levels) if lv.nonzero
+    )
 
 
 class DepthInterval(NamedTuple):
@@ -115,18 +107,13 @@ def quotient_depth_intervals(f: DimensionFiltration) -> tuple[LevelIntervals, ..
     depth_m = profile(f.base).depth
     out = []
     depth_prev, dim_mi = depth_m, None  # depth S/I^(i-1), and dim M_i
-    for lv in f.levels:
+    for i, lv in enumerate(f.levels):
         if lv.ass_level:
-            dim_mi = lv.index
-        if not lv.nonzero:  # I^(i) = I
-            depth_q = depth_m
-        elif lv.ideal.is_unit:  # S/I^(i) = 0
-            depth_q = math.inf
-        else:
-            depth_q = profile(lv.ideal).depth
+            dim_mi = i
+        depth_q = math.inf if lv.ideal.is_unit else profile(lv.ideal).depth  # S/I^(i) = 0 on top
         out.append(LevelIntervals(
             _kernel_depth(depth_m, depth_q, dim_mi) if lv.nonzero else None,
-            _kernel_depth(depth_prev, depth_q, lv.index) if lv.ass_level else None,
+            _kernel_depth(depth_prev, depth_q, i) if lv.ass_level else None,
         ))
         depth_prev = depth_q
     return tuple(out)
@@ -166,8 +153,8 @@ def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
     if not I.is_squarefree:
         return SeqCMResult("undecided")
     profile(I)  # rejects the unit ideal, then checks the vertex cap before the cover search
-    for lv in dimension_filtration(I).levels[:-1]:
-        i, t = lv.index, profile(lv.ideal).hochster.degrees
+    for i, lv in enumerate(dimension_filtration(I).levels[:-1]):
+        t = profile(lv.ideal).hochster.degrees
         low = [(len(s), s, k - len(s) - 1) for k in range(i + 1) for s, _ in t[k].contributions]
         if low:
             return SeqCMResult("false", i, *min(low)[1:])
@@ -178,35 +165,33 @@ def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
 # attached primes
 
 class AttClaim(NamedTuple):
-    degree: int
-    kind: str  # "full" | "lower-bound"
-    tag: str  # justification
-    primes: tuple[PrimeSupport, ...]
+    tag: str  # justification: "seqcm-level" | "top-assh" | "lower-bound-only"
+    primes: tuple[PrimeSupport, ...]  # Ass^i, for the claim at position i
+
+    @property
+    def kind(self) -> str:
+        """"lower-bound" when the primes only bound Att from below, else "full"."""
+        return "lower-bound" if self.tag == "lower-bound-only" else "full"
 
 
 def att_report(I: MonomialIdeal) -> tuple[AttClaim, ...]:
     """Attached primes of the local cohomology modules, degree by degree.
 
-    Each claim lists Ass^i, the associated primes p with dim R/p = i, all
-    attached to H^i.  That is all of Att H^i when M is sequentially CM, and
-    at the top degree, where Att = Assh; anywhere else it is a lower bound.
-    The seqCM verdict is asked first, so on squarefree input the vertex cap
-    is checked before the search cap.
+    Claim i lists Ass^i, the associated primes p with dim R/p = i, read off
+    level i of the dimension filtration; all are attached to H^i.  That is
+    all of Att H^i when M is sequentially CM, and at the top degree, where
+    Att = Assh; anywhere else it is a lower bound.  The seqCM verdict is
+    asked first, so on squarefree input the vertex cap is checked before
+    the search cap.
     """
     seq = is_sequentially_cm(I)
-    rng = I.ring
-    ass = sorted(associated_primes(I))
-    dim = max(p.dim_in(rng) for p in ass)
-    claims = []
-    for i in range(dim + 1):
-        ass_i = tuple(p for p in ass if p.dim_in(rng) == i)
-        if seq.status == "true":
-            claims.append(AttClaim(i, "full", "seqcm-level", ass_i))
-        elif i == dim:
-            claims.append(AttClaim(i, "full", "top-assh", ass_i))
-        else:
-            claims.append(AttClaim(i, "lower-bound", "lower-bound-only", ass_i))
-    return tuple(claims)
+    levels = dimension_filtration(I).levels
+    top = len(levels) - 1
+    return tuple(
+        AttClaim("seqcm-level" if seq.status == "true" else "top-assh" if i == top
+                 else "lower-bound-only", lv.ass_level)
+        for i, lv in enumerate(levels)
+    )
 
 
 def psupp_monomial(I: MonomialIdeal, i: int) -> tuple[tuple[int, ...], ...]:

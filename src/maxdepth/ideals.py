@@ -291,7 +291,8 @@ def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
     nothing else.  On squarefree I a tight generator is a private edge, so
     the tight covers are the minimal vertex covers.  Raises
     CapExceededError once the search has visited more than `search_cap`
-    nodes; `irreducible_covers` supplies the cap and keeps the memo.
+    nodes, or recurses deeper than the interpreter allows; `irreducible_covers`
+    supplies the cap and keeps the memo.
     """
     pairs = {(i, e) for g in I.gens for i, e in enumerate(g.exponents) if e}
     edges = [frozenset((i, e) for i, e in pairs if e <= g.exponents[i]) for g in I.gens]
@@ -318,7 +319,10 @@ def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
                 return
         results.append(chosen)
 
-    rec(frozenset(), frozenset())
+    try:
+        rec(frozenset(), frozenset())
+    except RecursionError:
+        raise CapExceededError("transversal search deeper than the interpreter allows") from None
     return tuple(sorted(results, key=lambda c: (len(c), tuple(sorted(c)))))
 
 

@@ -181,6 +181,29 @@ MUTANTS = (
         "    return int(v)\n",
         ("tests/test_cli.py::TestJsonInput::test_bad_ideal_json_is_2",),
     ),
+    # level i of the filtration printed as level i + 1
+    Mutant(
+        "filtration-level-position", "cli.py",
+        "enumerate(zip(f.levels, quotient_depth_intervals(f)))",
+        "enumerate(zip(f.levels, quotient_depth_intervals(f)), 1)",
+        ("tests/test_cli.py::TestOtherCommands::test_filtration",),
+    ),
+    # claim i lists Ass^(i-1), and claim 0 the top level's primes
+    Mutant(
+        "att-reads-the-level-below", "filtration.py",
+        'else "lower-bound-only", lv.ass_level)',
+        'else "lower-bound-only", levels[i - 1].ass_level)',
+        ("tests/test_filtration.py::TestAttReport::test_seqcm_case_is_fully_determined",
+         "tests/test_filtration.py::TestAttReport::test_claims_are_ass_levels"),
+    ),
+    # only a seqCM claim is full: the top-degree claim becomes a lower bound
+    Mutant(
+        "kind-full-only-when-seqcm", "filtration.py",
+        'return "lower-bound" if self.tag == "lower-bound-only" else "full"',
+        'return "full" if self.tag == "seqcm-level" else "lower-bound"',
+        ("tests/test_filtration.py::TestAttReport::test_c8_top_claim",
+         "tests/test_filtration.py::TestAttReport::test_claims_are_indexed"),
+    ),
     # a probe hit printed one degree too high
     Mutant(
         "probe-hit-degree", "cli.py",

@@ -159,14 +159,14 @@ def test_criterion_4_property_suites(pool_main, pool_small, pool_pairs, pool_mix
             associated_primes(I)
         ):
             violations.append(("d-partition", I))
-        for lv in f.levels:
+        for i, lv in enumerate(f.levels):
             if lv.ideal.is_unit or not lv.nonzero:
                 continue
             # Ass(M/M_i) = Ass(S/I^(i)) and Ass(M_i) partition Ass(M)
             upper = associated_primes(lv.ideal)
-            lower = set(ass_of_submodule(f, lv.index))
+            lower = set(ass_of_submodule(f, i))
             if set(associated_primes(I)) - upper != lower:
-                violations.append(("d-difference", (I, lv.index)))
+                violations.append(("d-difference", (I, i)))
 
     # e. localization inequality on all faces, equality under the Assd
     #    containment hypothesis (both enforced inside localization_profile)

@@ -101,6 +101,11 @@ class TestOtherCommands:
     def test_filtration(self, capsys):
         doc = run_json(capsys, "filtration", C8)
         assert doc["t"] == 3
+        assert [row["i"] for row in doc["levels"]] == [0, 1, 2, 3, 4]
+        lines = run_cli(capsys, "filtration", C8)[1].splitlines()
+        assert [line.split()[0] for line in lines[2:]] == [f"i={i}" for i in range(5)]
+        assert lines[-1] == ("  i=4  ideal_gens=(1)  nonzero=true  ass_i=(x1, x3, x5, x7) (x2, x4, x6, x8)"
+                             "  depth_interval=(3, 3)  quotient_depth_interval=(1, 1)")
         assert doc["levels"][3]["depth_interval"] == [2, 2]
         assert doc["levels"][4]["ideal_gens"] == ["1"]
 
@@ -115,6 +120,10 @@ class TestOtherCommands:
 
     def test_att(self, capsys):
         doc = run_json(capsys, "att", C8)
+        assert [c["degree"] for c in doc["claims"]] == [0, 1, 2, 3, 4]
+        lines = run_cli(capsys, "att", C8)[1].splitlines()
+        assert [line.split()[0] for line in lines[1:]] == [f"degree={i}" for i in range(5)]
+        assert lines[-1] == "  degree=4  kind=full  tag=top-assh  primes=(x1, x3, x5, x7) (x2, x4, x6, x8)"
         assert doc["claims"][4]["kind"] == "full"
         assert sorted(doc["claims"][4]["primes"]) == [
             ["x1", "x3", "x5", "x7"],
@@ -281,13 +290,30 @@ class TestExitCodes:
         assert code == 2 and "error kind=malformed-input" in err, err
 
     def test_non_squarefree_att_skips_the_vertex_cap(self, capsys):
-        # the report reads Ass and the seqCM verdict, never the polarized
-        # complex (14 vertices here), so the vertex cap does not apply
+        # the report reads the filtration levels and the seqCM verdict, never
+        # the polarized complex (14 vertices here), so the vertex cap does not apply
         gens = "--gens=x1^3*x4^3,x2^3*x4^3*x5^2,x2^3*x3^2*x4^2*x5,x1^2*x2*x3^3*x4*x5^2"
         code, out, err = run_cli(capsys, "--max-vertices=5", "att", gens)
         assert code == 0, err
         code, out, err = run_cli(capsys, "--max-vertices=5", "analyze", gens)
         assert code == 3 and "14 vertices exceeds cap 5" in err, err
+
+    def test_cover_search_deeper_than_the_stack_is_3(self, capsys):
+        # the cover search recurses once per chosen pair: 150 disjoint
+        # generators x_{2i+1}^2*x_{2i+2} need 150 frames, which a lowered
+        # recursion limit refuses, and that is a cap error with no traceback
+        gens = ",".join(f"x{2 * i + 1}^2*x{2 * i + 2}" for i in range(150))
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            code, out, err = run_cli(capsys, "att", f"--gens={gens}")
+        finally:
+            sys.setrecursionlimit(old)
+        assert (code, out) == (3, ""), err
+        assert err == 'error kind=cap-exceeded msg="transversal search deeper than the interpreter allows"\n'
 
     def test_precondition_is_4(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--gens=x1,x2", "--nvars=2")

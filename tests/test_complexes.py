@@ -186,9 +186,9 @@ class TestSkeletonsAndSubcomplexes:
         cycles = [cycle_edge_ideal(n) for n in range(3, 13)]
         for I in pool_low_dim + pool_mixed_dim + cycles:
             cx = from_squarefree_ideal(I)
-            for lv in dimension_filtration(I).levels[:-1]:
-                want = SimplicialComplex(cx.n, tuple(f for f in cx.facets if len(f) > lv.index))
-                assert from_squarefree_ideal(lv.ideal).facets == want.facets, (I.format(), lv.index)
+            for i, lv in enumerate(dimension_filtration(I).levels[:-1]):
+                want = SimplicialComplex(cx.n, tuple(f for f in cx.facets if len(f) > i))
+                assert from_squarefree_ideal(lv.ideal).facets == want.facets, (I.format(), i)
 
 
 class TestFaceMeets:

@@ -22,6 +22,8 @@ from maxdepth.complexes import SimplicialComplex, cycle_edge_ideal, to_ideal
 from maxdepth.invariants import localization_profile, profile
 from maxdepth.filtration import (
     AttClaim,
+    DimensionFiltration,
+    FiltrationLevel,
     ProbeConfig,
     ProbeHit,
     ass_of_submodule,
@@ -70,7 +72,7 @@ class TestDimensionFiltration:
 
     def test_c8_ass_partition(self):
         f = dimension_filtration(c8_ideal())
-        by_level = {lv.index: set(lv.ass_level) for lv in f.levels}
+        by_level = {i: set(lv.ass_level) for i, lv in enumerate(f.levels)}
         assert {len(by_level[i]) for i in (0, 1, 2)} == {0}
         assert len(by_level[3]) == 8 and len(by_level[4]) == 2
 
@@ -92,6 +94,13 @@ class TestDimensionFiltration:
         with pytest.raises(UndefinedModuleError, match="the unit ideal defines the zero module"):
             dimension_filtration(unit_ideal(ring(2)))
 
+    def test_levels_are_indexed(self):
+        # level i is f.levels[i], and t is read off the levels; no field
+        # stores either a second time
+        assert FiltrationLevel._fields == ("ideal", "nonzero", "ass_level")
+        assert DimensionFiltration._fields == ("base", "levels")
+        assert isinstance(DimensionFiltration.t, property)
+
     @given(small_ideals)
     @settings(max_examples=50, deadline=None)
     def test_level_ideals_nested_and_consistent(self, I):
@@ -104,7 +113,7 @@ class TestDimensionFiltration:
             # I^(i) subseteq I^(i+1)
             assert all(b.contains(g) for g in a.gens) or b.is_unit
         assert f.levels[d].ideal.is_unit
-        assert f.t == min(lv.index for lv in f.levels if lv.nonzero)
+        assert f.t == min(i for i, lv in enumerate(f.levels) if lv.nonzero)
 
     @given(small_ideals)
     @settings(max_examples=50, deadline=None)
@@ -124,8 +133,8 @@ class TestDimensionFiltration:
             assert set(collected) == colon_search_ass(I), I.format()
             # the nested levels equal the intersection taken level by level
             comps = primary_decomposition(I)
-            for lv in f.levels:
-                above = (c for rad, c in comps if rad.dim_in(I.ring) > lv.index)
+            for i, lv in enumerate(f.levels):
+                above = (c for rad, c in comps if rad.dim_in(I.ring) > i)
                 assert lv.ideal == intersect_all(I.ring, above), I.format()
 
 
@@ -292,8 +301,7 @@ class TestDepthIntervals:
         wide, not_seqcm = [], 0
         for I in pool_low_dim + pool_mixed_dim + cycles:
             f = dimension_filtration(I)
-            quots = [(lv.index, iv.quotient) for lv, iv in zip(f.levels, quotient_depth_intervals(f))
-                     if iv.quotient]
+            quots = [(i, iv.quotient) for i, iv in enumerate(quotient_depth_intervals(f)) if iv.quotient]
             if any(q.lo != q.hi for _, q in quots):
                 wide.append(I)
                 continue
@@ -345,13 +353,12 @@ class TestDepthIntervals:
         intervals = quotient_depth_intervals(f)
         assert len(intervals) == len(f.levels)
         for i, (lv, entry) in enumerate(zip(f.levels, intervals)):
-            assert lv.index == i
             if not lv.nonzero:
                 assert entry.module is None
                 continue
             assert 0 <= entry.module.lo <= entry.module.hi
             if entry.quotient is not None:
-                assert entry.quotient.lo <= entry.quotient.hi <= lv.index
+                assert entry.quotient.lo <= entry.quotient.hi <= i
 
 
 class TestSequentiallyCM:
@@ -469,6 +476,14 @@ class TestAttReport:
         assert top.kind == "full" and top.tag == "top-assh"
         assert {p.vars for p in top.primes} == {(0, 2, 4, 6), (1, 3, 5, 7)}
 
+    def test_claims_are_indexed(self):
+        # claim i is att_report(I)[i], and its kind is read off its tag
+        assert AttClaim._fields == ("tag", "primes")
+        assert isinstance(AttClaim.kind, property)
+        assert [AttClaim(tag, ()).kind for tag in ("seqcm-level", "top-assh", "lower-bound-only")] == [
+            "full", "full", "lower-bound",
+        ]
+
     def test_c8_lower_bounds(self):
         claims = att_report(c8_ideal())
         ass = set(associated_primes(c8_ideal()))
@@ -481,14 +496,14 @@ class TestAttReport:
         claims = att_report(I)
         f = dimension_filtration(I)
         assert all(c.kind == "full" and c.tag == "seqcm-level" for c in claims)
-        for claim in claims:
-            assert claim.primes == f.levels[claim.degree].ass_level
+        assert [c.primes for c in claims] == [lv.ass_level for lv in f.levels]
 
     def test_depth_min_att_on_embedded_example(self):
         # Ass = {(x), (x,y)} and Assd = {(x,y)}: the embedded prime is a
         # lower bound at the depth, below the top degree
         claims = att_report(mk(2, (2, 0), (1, 1)))
-        assert claims[0] == (0, "lower-bound", "lower-bound-only", (PrimeSupport((0, 1)),))
+        assert claims[0] == ("lower-bound-only", (PrimeSupport((0, 1)),))
+        assert claims[0].kind == "lower-bound"
 
     @given(small_ideals)
     @settings(max_examples=30, deadline=None)
@@ -497,7 +512,7 @@ class TestAttReport:
             return
         claims = att_report(I)
         prof = profile(I)
-        assert [c.degree for c in claims] == list(range(prof.dim + 1))
+        assert len(claims) == prof.dim + 1
         # a full top claim always names the top-dimensional primes
         top = claims[-1]
         assert top.kind == "full"
@@ -516,10 +531,10 @@ class TestAttReport:
             dim = max(p.dim_in(rng) for p in ass)
             seqcm = is_sequentially_cm(I).status == "true"
             claims = att_report(I)
-            assert [c.degree for c in claims] == list(range(dim + 1)), I.format()
-            for c in claims:
-                assert set(c.primes) == {p for p in ass if p.dim_in(rng) == c.degree}, I.format()
-                assert (c.kind == "full") == (seqcm or c.degree == dim), (I.format(), c)
+            assert len(claims) == dim + 1, I.format()
+            for i, c in enumerate(claims):
+                assert set(c.primes) == {p for p in ass if p.dim_in(rng) == i}, I.format()
+                assert (c.kind == "full") == (seqcm or i == dim), (I.format(), c)
 
     @given(small_ideals)
     @settings(max_examples=60, deadline=None)

@@ -558,8 +558,8 @@ class TestExponentInvariance:
             assert associated_primes(J) == associated_primes(I), I.format()
             fI, fJ = dimension_filtration(I), dimension_filtration(J)
             assert fJ.t == fI.t, I.format()
-            assert [(lv.index, lv.ideal, lv.nonzero, lv.ass_level) for lv in fJ.levels] == [
-                (lv.index, image(lv.ideal), lv.nonzero, lv.ass_level) for lv in fI.levels
+            assert [(lv.ideal, lv.nonzero, lv.ass_level) for lv in fJ.levels] == [
+                (image(lv.ideal), lv.nonzero, lv.ass_level) for lv in fI.levels
             ], I.format()
 
     def test_smallest_search_cap_is_the_same(self, name, stretch_pool):

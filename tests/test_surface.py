@@ -239,8 +239,10 @@ RULES = (
     ("one-table-route", grep(r"\b(complex_table|facet_subcomplex_min_dim)\b"),
      r"(?!invariants\.py$).*",
      "every local cohomology table is read through profile's per-(ideal, Limits) memo"),
-    ("one-reader-per-fact", grep(r"\.(at|level)\(|hochster\.(depth|dim)\b"), ALL,
-     "a table degree is degrees[i] and a level is levels[i]; depth and dim are the profile's"),
+    ("one-reader-per-fact",
+     grep(r"\.(at|level)\(|hochster\.(depth|dim)\b|\.index\b(?!\()|(\b(c|claim)|\])\.degree\b"), ALL,
+     "a table degree is degrees[i], a level is levels[i] and a claim is att_report(I)[i]; "
+     "depth and dim are the profile's"),
     ("projdim-by-auslander-buchsbaum", grep(r"_upper_koszul"), ALL,
      "projdim is n - depth; the Betti numbers over the lcm lattice are tests/betti_oracle.py"),
 )
@@ -290,7 +292,10 @@ VIOLATIONS = {
                         "from .invariants import complex_table, profile", [1, 3]),
     "one-reader-per-fact": ("t.at(k).contributions\nf8.level(3).ideal\nprof.hochster.depth\n"
                             "hochster.dim\nt.degrees[k]\nf8.levels[3]\nprof.depth\n"
-                            "hochster.dimension\nlevel(i)", [1, 2, 3, 4]),
+                            "hochster.dimension\nlevel(i)\ni = lv.index\nf.levels[3].index\n"
+                            "\"degree\": c.degree,\nclaim.degree\natt_report(I)[4].degree\n"
+                            "xs.index(v)\nm.degree\nh.degree\nargs.degree\nabc.degree",
+                            [1, 2, 3, 4, 10, 11, 12, 13, 14]),
     "projdim-by-auslander-buchsbaum": ("def _upper_koszul(I, b):\nreturn I.ring.n - profile(I).depth\n"
                                        "reduced_homology(_upper_koszul(I, b), field)\nupper_koszul", [1, 3]),
 }
