@@ -98,7 +98,7 @@ def seqcm_json(res: SeqCMResult) -> dict:
     if res.status == "false":
         out["witness"] = {
             "skeleton_dim": res.witness_skeleton,
-            "face": [v + 1 for v in res.witness_face],
+            "face": None if res.witness_face is None else [v + 1 for v in res.witness_face],
             "homology_degree": res.witness_degree,
         }
     return out

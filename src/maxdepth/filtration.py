@@ -120,44 +120,38 @@ def quotient_depth_intervals(f: DimensionFiltration) -> tuple[LevelIntervals, ..
 
 
 class SeqCMResult(NamedTuple):
-    status: str  # "true" | "false" | "undecided"
-    witness_skeleton: int | None = None
-    witness_face: tuple[int, ...] | None = None
+    status: str  # "true" | "false"
+    witness_skeleton: int | None = None  # the first failing level i
+    witness_face: tuple[int, ...] | None = None  # None on non-squarefree input
     witness_degree: int | None = None
 
 
 @per_limits
 def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
-    """Pure-skeleton criterion (Duval 1996): every pure i-skeleton
-    Delta^[i] Cohen-Macaulay.
+    """M = S/I is sequentially CM iff depth S/I^(i) > i at every level i < dim.
 
-    Reisner's criterion on Delta^[i] asks that each link of a face s, of
-    dimension i - |s|, have no homology below its dimension, that is no
-    contribution (s, h) at a degree k < i + 1 of the skeleton's table, in
-    homology degree k - |s| - 1.  The witness is the least (|s|, s, degree).
+    S/I^(i) = M/M_i.  If M is seqCM, so is M/M_i, whose filtration
+    quotients are CM of dimension above i, so its depth exceeds i.
+    Conversely, going down from the top: M/M_{d-1} is CM of dimension d,
+    and the Depth Lemma on 0 -> M_i/M_{i-1} -> M/M_{i-1} -> M/M_i -> 0
+    gives depth M_i/M_{i-1} >= i, so a nonzero quotient, of dimension i,
+    is CM (Stanley, Schenzel).  This holds for any module, and `profile`
+    gives each depth exactly.
 
-    The verdict is read off the table of Delta_{>=i}, the subcomplex
-    generated by the facets of dimension >= i, instead of Delta^[i] itself.
-    Delta^[i] is the i-skeleton of Delta_{>=i}, links commute with taking
-    skeleta (lk_{X^(m)} s = (lk_X s)^(m-|s|)), and a skeleton has the
-    homology of the whole complex below its top dimension.  So both tables
-    hold the same contributions at every degree k < i + 1.  Delta_{>=i} is
-    the complex of S/I^(i), the filtration level: the minimal primes of
-    I^(i) are the primes of I of dimension above i, the complements of the
-    facets with more than i vertices.  So the table read is that of
-    `profile(I^(i))`.
-
-    Non-squarefree input is reported undecided; the filtration-based
-    check only produces intervals there.
+    The first failing level i is the witness.  On squarefree input the
+    face and homology degree are the least (|s|, s, k - |s| - 1) over the
+    contributions (s, h) at degrees k <= i of that level's table, a link
+    with homology below its dimension in the pure skeleton Delta^[i]
+    (Duval 1996).  On non-squarefree input that table's faces belong to
+    the polarization, so the witness is the level alone.
     """
-    if not I.is_squarefree:
-        return SeqCMResult("undecided")
     profile(I)  # rejects the unit ideal, then checks the vertex cap before the cover search
     for i, lv in enumerate(dimension_filtration(I).levels[:-1]):
-        t = profile(lv.ideal).hochster.degrees
-        low = [(len(s), s, k - len(s) - 1) for k in range(i + 1) for s, _ in t[k].contributions]
-        if low:
-            return SeqCMResult("false", i, *min(low)[1:])
+        p = profile(lv.ideal)
+        if p.depth <= i:
+            t = p.hochster.degrees
+            low = [(len(s), s, k - len(s) - 1) for k in range(i + 1) for s, _ in t[k].contributions]
+            return SeqCMResult("false", i, *min(low)[1:] if I.is_squarefree else ())
     return SeqCMResult("true")
 
 
@@ -181,8 +175,7 @@ def att_report(I: MonomialIdeal) -> tuple[AttClaim, ...]:
     level i of the dimension filtration; all are attached to H^i.  That is
     all of Att H^i when M is sequentially CM, and at the top degree, where
     Att = Assh; anywhere else it is a lower bound.  The seqCM verdict is
-    asked first, so on squarefree input the vertex cap is checked before
-    the search cap.
+    asked first, so the vertex cap is checked before the search cap.
     """
     seq = is_sequentially_cm(I)
     levels = dimension_filtration(I).levels

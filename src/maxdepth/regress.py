@@ -100,6 +100,10 @@ def _checks():
     yield "C8 not sequentially CM", is_sequentially_cm(I8).status == "false"
     yield "C3 sequentially CM", is_sequentially_cm(cycle_edge_ideal(3)).status == "true"
     yield "C5 sequentially CM", is_sequentially_cm(cycle_edge_ideal(5)).status == "true"
+    for gens, verdict, why in (("x4^2,x2*x3*x4,x2^2*x4", ("true", None), "depth S/I^(i) > i, i < 3"),
+                               ("x1^2*x3,x1*x4,x2*x3,x2*x4", ("false", 1), "depth S/I^(1) <= 1")):
+        res = is_sequentially_cm(parse_generators(gens, nvars=4))
+        yield f"({gens}) sequentially CM {verdict[0]}: {why}", res[:2] == verdict
 
     # two triangles glued at vertex 3, plus an isolated vertex 6: the pure
     # 2-skeleton drops the isolated vertex, and the link of vertex 3 in it

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from maxdepth.complexes import SimplicialComplex, to_ideal
+from maxdepth.filtration import is_sequentially_cm
 from maxdepth.ideals import F2, QQ, Monomial, MonomialIdeal, associated_primes, ring
 from maxdepth.random_instances import random_complex
 
@@ -99,3 +100,24 @@ def pool_mixed():
         random_monomial_ideal(rng, rng.randint(1, 5), max_gens=5, max_exp=3, field=(QQ, F2)[k % 2])
         for k in range(200)
     ]
+
+
+@pytest.fixture(scope="session")
+def pool_raised():
+    """180 non-squarefree ideals: the ideals of random complexes on 3-5
+    vertices, each variable of each generator raised to the square with
+    probability 0.4, alternately over QQ and GF(2).  Two complexes in
+    three are redrawn until their ideal is not sequentially CM, so the pool
+    holds many ideals that are not; polarizations have at most 10 vertices."""
+    rng = random.Random(POOL_SEED + 6)
+    ideals = []
+    while len(ideals) < 180:
+        n = rng.randint(3, 5)
+        I = to_ideal(random_complex(rng, n), ring(n, (QQ, F2)[len(ideals) % 2]))
+        if I.is_unit or (len(ideals) % 3 and is_sequentially_cm(I).status == "true"):
+            continue
+        J = MonomialIdeal(I.ring, tuple(
+            Monomial(tuple(e + (e > 0 and rng.random() < 0.4) for e in g.exponents)) for g in I.gens))
+        if not J.is_squarefree:
+            ideals.append(J)
+    return ideals

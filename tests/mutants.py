@@ -2,14 +2,15 @@
 
 Each mutant is a named, exact text replacement in one file of a fresh
 temporary copy of `src/`, paired with the tier-1 tests that must then fail.
-The script runs every paired test on an unmutated copy first (all must
-pass), then on each mutant, and prints a kill matrix: one row per mutant,
-one column per mutant's test subset, `K` where a test of the subset failed
-(`*` marks the subset the mutant must fail).  It exits 1 when a
-replacement text does not occur exactly once, when the unmutated copy
-fails a test, or when a mutant survives its own subset.  A surviving
-mutant is a missing test: never a reason to drop the mutant or narrow its
-subset.
+The script runs every paired test on an unmutated copy (all must pass)
+and on each mutant, each copy in its own temporary directory with its own
+Hypothesis example database, on `os.cpu_count()` worker threads.  It
+prints a kill matrix in `MUTANTS` order: one row per mutant, one column
+per mutant's test subset, `K` where a test of the subset failed (`*` marks
+the subset the mutant must fail).  It exits 1 when a replacement text does
+not occur exactly once, when the unmutated copy fails a test, or when a
+mutant survives its own subset.  A surviving mutant is a missing test:
+never a reason to drop the mutant or narrow its subset.
 
     python tests/mutants.py
 
@@ -22,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -99,12 +101,28 @@ MUTANTS = (
         ("tests/test_filtration.py::TestDepthIntervals::test_c8_pinned_level",
          "tests/test_filtration.py::TestDepthIntervals::test_point_levels_obey_the_depth_lemma"),
     ),
-    # every level read off the table of I itself: the level-0 verdict only
+    # every level read off the profile of I itself: the level-0 verdict only
     Mutant(
         "seqcm-reads-level-ideal", "filtration.py",
-        "profile(lv.ideal).hochster",
-        "profile(I).hochster",
+        "p = profile(lv.ideal)",
+        "p = profile(I)",
         ("tests/test_filtration.py::TestSequentiallyCM::test_mixed_dim_pool_matches_reisner_rescan",),
+    ),
+    # level i passes with depth i: depth S/I^(i) > i - 1 instead of > i
+    Mutant(
+        "seqcm-depth-off-by-one", "filtration.py",
+        "if p.depth <= i:",
+        "if p.depth < i:",
+        ("tests/test_filtration.py::TestSequentiallyCM::test_cycle_family",
+         "tests/test_cli.py::TestOtherCommands::test_regress"),
+    ),
+    # a non-squarefree ideal called seqCM without reading its levels
+    Mutant(
+        "seqcm-non-squarefree-skips-levels", "filtration.py",
+        "    profile(I)  # rejects the unit ideal",
+        "    if not I.is_squarefree:\n        return SeqCMResult(\"true\")\n"
+        "    profile(I)  # rejects the unit ideal",
+        ("tests/test_cli.py::TestOtherCommands::test_regress",),
     ),
     # the faces walked on the facets less the cone are scanned without the
     # cone that every meet holds
@@ -220,21 +238,18 @@ def mutated_copy(root: Path, mutant: Mutant | None) -> Path:
     shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     if mutant is not None:
         path = src / "maxdepth" / mutant.file
-        text = path.read_text(encoding="utf-8")
-        if text.count(mutant.old) != 1:
-            raise SystemExit(
-                f"mutant {mutant.name}: the text to replace occurs {text.count(mutant.old)} "
-                f"times in src/maxdepth/{mutant.file}, not once"
-            )
-        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                        encoding="utf-8")
     return src
 
 
 def failing_tests(src: Path, tests: list[str]) -> set[str] | None:
     """The node ids that fail or error when `tests` run against `src`, one
     pytest run per test file, or None when a run times out.  A file that
-    cannot be collected fails as a whole."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cannot be collected fails as a whole.  Hypothesis keeps its examples
+    next to `src`, so concurrent runs share no database."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               HYPOTHESIS_STORAGE_DIRECTORY=str(src.parent / ".hypothesis"))
     failed = set()
     for path in sorted({t.split("::")[0] for t in tests}):
         ids = [t for t in tests if t.split("::")[0] == path]
@@ -262,15 +277,27 @@ def hits(failed: set[str], test: str) -> bool:
 
 def main() -> int:
     tests = sorted({t for m in MUTANTS for t in m.tests})
+    for m in MUTANTS:  # before any run starts
+        count = (REPO / "src" / "maxdepth" / m.file).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            raise SystemExit(f"mutant {m.name}: the text to replace occurs {count} "
+                             f"times in src/maxdepth/{m.file}, not once")
 
-    with tempfile.TemporaryDirectory(prefix="maxdepth-mutants-") as tmp:
-        failed = failing_tests(mutated_copy(Path(tmp) / "original", None), tests)
+    with tempfile.TemporaryDirectory(prefix="maxdepth-mutants-") as tmp, \
+            ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        def run(name, mutant):
+            return pool.submit(lambda: failing_tests(mutated_copy(Path(tmp) / name, mutant), tests))
+
+        original = run("original", None)
+        runs = [run(m.name, m) for m in MUTANTS]
+        failed = original.result()
         if failed != set():
+            pool.shutdown(cancel_futures=True)
             print(f"the unmutated copy fails: {sorted(failed) if failed else 'timeout'}")
             return 1
         rows = {}
-        for m in MUTANTS:
-            failed = failing_tests(mutated_copy(Path(tmp) / m.name, m), tests)
+        for m, future in zip(MUTANTS, runs):
+            failed = future.result()
             rows[m.name] = [failed is None or any(hits(failed, t) for t in n.tests) for n in MUTANTS]
 
     width = max(len(m.name) for m in MUTANTS)

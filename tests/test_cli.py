@@ -289,19 +289,20 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "--max-vertices=-1", "analyze", "--gens=x1")
         assert code == 2 and "error kind=malformed-input" in err, err
 
-    def test_non_squarefree_att_skips_the_vertex_cap(self, capsys):
-        # the report reads the filtration levels and the seqCM verdict, never
-        # the polarized complex (14 vertices here), so the vertex cap does not apply
+    def test_non_squarefree_att_checks_the_vertex_cap(self, capsys):
+        # the report asks the seqCM verdict, which profiles I and its level
+        # ideals, so the polarized complex (14 vertices here) meets the cap
         gens = "--gens=x1^3*x4^3,x2^3*x4^3*x5^2,x2^3*x3^2*x4^2*x5,x1^2*x2*x3^3*x4*x5^2"
-        code, out, err = run_cli(capsys, "--max-vertices=5", "att", gens)
-        assert code == 0, err
-        code, out, err = run_cli(capsys, "--max-vertices=5", "analyze", gens)
-        assert code == 3 and "14 vertices exceeds cap 5" in err, err
+        for cmd in ("att", "seqcm", "analyze"):
+            code, out, err = run_cli(capsys, "--max-vertices=5", cmd, gens)
+            assert (code, out) == (3, "") and "14 vertices exceeds cap 5" in err, (cmd, err)
 
     def test_cover_search_deeper_than_the_stack_is_3(self, capsys):
         # the cover search recurses once per chosen pair: 150 disjoint
         # generators x_{2i+1}^2*x_{2i+2} need 150 frames, which a lowered
-        # recursion limit refuses, and that is a cap error with no traceback
+        # recursion limit refuses, and that is a cap error with no traceback;
+        # att profiles I first, so the vertex cap is raised to its 450
+        # polarized vertices
         gens = ",".join(f"x{2 * i + 1}^2*x{2 * i + 2}" for i in range(150))
         frame, depth = sys._getframe(), 0
         while frame:
@@ -309,7 +310,7 @@ class TestExitCodes:
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 100)
         try:
-            code, out, err = run_cli(capsys, "att", f"--gens={gens}")
+            code, out, err = run_cli(capsys, "--max-vertices=450", "att", f"--gens={gens}")
         finally:
             sys.setrecursionlimit(old)
         assert (code, out) == (3, ""), err

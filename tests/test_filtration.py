@@ -13,11 +13,12 @@ from maxdepth.ideals import (
     associated_primes,
     irreducible_decomposition,
     parse_generators,
+    polarize,
     primary_decomposition,
     ring,
     unit_ideal,
 )
-from maxdepth import filtration, ideals, invariants
+from maxdepth import filtration, ideals
 from maxdepth.complexes import SimplicialComplex, cycle_edge_ideal, to_ideal
 from maxdepth.invariants import localization_profile, profile
 from maxdepth.filtration import (
@@ -385,8 +386,17 @@ class TestSequentiallyCM:
         assert res.witness_skeleton is not None
         assert res.witness_face is not None and res.witness_degree is not None
 
-    def test_non_squarefree_undecided(self):
-        assert is_sequentially_cm(mk(2, (2, 0), (1, 1))).status == "undecided"
+    def test_non_squarefree_pool_matches_duval_on_the_polarization(self, pool_raised):
+        # S/I is seqCM iff S/pol I is (Faridi), so Duval's criterion on the
+        # polarization decides; a non-squarefree witness is the level alone
+        assert is_sequentially_cm(mk(2, (2, 0), (1, 1))) == ("true", None, None, None)
+        not_seqcm = 0
+        for I in pool_raised:
+            res = is_sequentially_cm(I)
+            assert res.status == seqcm_by_rescan(polarize(I))[0], I.format()
+            assert res.witness_face is None and res.witness_degree is None, I.format()
+            not_seqcm += res.status == "false"
+        assert not_seqcm == 120
 
     def test_unit_rejected(self):
         with pytest.raises(UndefinedModuleError):
@@ -409,7 +419,7 @@ class TestSequentiallyCM:
     @given(small_ideals)
     @settings(max_examples=40, deadline=None)
     def test_seqcm_implies_maximal_depth(self, I):
-        if I.is_unit or not I.is_squarefree:
+        if I.is_unit:
             return
         if is_sequentially_cm(I).status == "true":
             assert profile(I).maximal_depth
@@ -464,9 +474,6 @@ class TestPerLimitsMemo:
         assert fn.cache_info().hits == hits + 1
 
 
-POLARIZED_14_GENS = "x1^3*x4^3,x2^3*x4^3*x5^2,x2^3*x3^2*x4^2*x5,x1^2*x2*x3^3*x4*x5^2"
-
-
 class TestAttReport:
     def test_c8_top_claim(self):
         # the claims themselves, one per degree, not a record around them
@@ -499,11 +506,12 @@ class TestAttReport:
         assert [c.primes for c in claims] == [lv.ass_level for lv in f.levels]
 
     def test_depth_min_att_on_embedded_example(self):
-        # Ass = {(x), (x,y)} and Assd = {(x,y)}: the embedded prime is a
-        # lower bound at the depth, below the top degree
+        # Ass = {(x), (x,y)} and Assd = {(x,y)}; S/(x^2, xy) is seqCM (its
+        # level-0 ideal (x) has depth 1), so the embedded prime is all of
+        # Att H^0, below the top degree
         claims = att_report(mk(2, (2, 0), (1, 1)))
-        assert claims[0] == ("lower-bound-only", (PrimeSupport((0, 1)),))
-        assert claims[0].kind == "lower-bound"
+        assert claims[0] == ("seqcm-level", (PrimeSupport((0, 1)),))
+        assert claims[0].kind == "full"
 
     @given(small_ideals)
     @settings(max_examples=30, deadline=None)
@@ -547,19 +555,6 @@ class TestAttReport:
         prof = profile(I)
         if minimal_primes_of(I) <= set(prof.assd):
             assert prof.depth == prof.dim
-
-    def test_non_squarefree_reads_no_local_cohomology(self, monkeypatch, pool_mixed):
-        # Ass and the (undecided) seqCM verdict are all a non-squarefree
-        # report needs; the last ideal polarizes to 14 vertices
-        cases = [I for I in pool_mixed if not I.is_squarefree]
-        cases.append(parse_generators(POLARIZED_14_GENS))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("complex_table called")
-
-        monkeypatch.setattr(invariants, "complex_table", refuse)
-        for I in cases:
-            assert att_report(I), I.format()
 
 
 class TestPsupp:

@@ -170,6 +170,13 @@ def test_families_oracle_shares_no_code_with_the_engine():
     assert non_stdlib_imports("from maxdepth.cli import main\nimport reisner_oracle") == [1, 2]
 
 
+def test_cech_oracle_shares_no_code_with_the_engine():
+    # the Čech complex is built from the definition: stdlib imports only,
+    # so nothing from maxdepth or from the oracles that read a complex
+    source = (REPO / "tests" / "cech_oracle.py").read_text(encoding="utf-8")
+    assert non_stdlib_imports(source) == []
+
+
 def assert_lines(source):
     return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
 
