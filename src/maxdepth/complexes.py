@@ -81,10 +81,18 @@ def face_meets(masks: list[int]) -> dict[int, int]:
     return meets
 
 
+def face_key(f: int) -> tuple[int, tuple[int, ...]]:
+    """(size, vertex tuple) of a face mask: its place by size, then lexicographic."""
+    s = []
+    while f:
+        s.append((f & -f).bit_length() - 1)
+        f &= f - 1
+    return (len(s), tuple(s))
+
+
 def face_tuples(faces) -> list[tuple[int, ...]]:
     """Face masks as vertex tuples, by size, then lexicographic."""
-    return sorted((tuple(v for v in range(f.bit_length()) if f >> v & 1) for f in faces),
-                  key=_facet_key)
+    return [s for _, s in sorted(map(face_key, faces))]
 
 
 def from_squarefree_ideal(I: MonomialIdeal) -> SimplicialComplex:

@@ -30,8 +30,8 @@ from .ideals import (
 )
 from .complexes import (
     SimplicialComplex,
+    face_key,
     face_meets,
-    face_tuples,
     from_squarefree_ideal,
 )
 from .linalg import _mask_homology
@@ -102,14 +102,15 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec,
         if len(firsts) > 2:
             orbits.append((firsts[-1], firsts))
     seen: dict[int, tuple[tuple[int, int], ...]] = {}  # representative -> homology
-    for s in face_tuples(sm | cone for sm, meet in face_meets(masks).items() if sm == meet):
-        sm = rep = sum(1 << v for v in s) ^ cone
+    for (size, s), sm in sorted((face_key(sm | cone), sm) for sm, meet in face_meets(masks).items()
+                                if sm == meet):
+        rep = sm
         for c, firsts in orbits:
             rep = rep & ~c | firsts[(sm & c).bit_count()]
         if rep not in seen:
             seen[rep] = _mask_homology([fm ^ rep for fm in masks if fm & rep == rep], field)
         for j, h in seen[rep]:
-            contribs[j + len(s) + 1].append((s, h))
+            contribs[j + size + 1].append((s, h))
     return HochsterTable(tuple(HochsterDegree(tuple(c)) for c in contribs))
 
 

@@ -1,11 +1,12 @@
 """Exact ranks and reduced simplicial homology over the configured field.
 
 No floating point anywhere.  Homology is computed on facet bitmasks: the
-complex is strongly collapsed, and its core is ranked by XOR elimination
-over GF(2), which settles QQ too unless the GF(2) homology spans two or
-more degrees; those cores, and every core over an odd prime field, are
-ranked by `rank`.  The faces of a core are the submasks of its facets, as
-`complexes.face_meets` walks them.
+complex is strongly collapsed, and its core, or the core's Alexander dual
+when that has fewer faces ({()} for the boundary of a simplex), is ranked
+by XOR elimination over GF(2), which settles QQ too unless the GF(2)
+homology spans two or more degrees; those complexes, and every complex
+over an odd prime field, are ranked by `rank`.  Faces are the submasks of
+the facets, as `complexes.face_meets` walks them.
 
 `rank` is one sparse column elimination for every field.  Among a column's
 eligible entries the pivot is the row held by the fewest live columns, ties
@@ -44,11 +45,11 @@ class SparseMatrix(NamedTuple(
         return super().__new__(cls, rows, cols, entries)
 
 
-def _faces_by_size(masks: list[int]) -> list[list[int]]:
-    """Every face of the complex with these facet masks, as masks, listed by
-    vertex count, then by value; entry 0 is [0], the empty face."""
-    by_size: list[list[int]] = [[] for _ in range(max(m.bit_count() for m in masks) + 1)]
-    for f in sorted(face_meets(masks)):
+def _faces_by_size(faces) -> list[list[int]]:
+    """The faces (masks) of a complex listed by vertex count, then by
+    value; entry 0 is [0], the empty face."""
+    by_size: list[list[int]] = [[] for _ in range(max(map(int.bit_count, faces)) + 1)]
+    for f in sorted(faces):
         by_size[f.bit_count()].append(f)
     return by_size
 
@@ -80,7 +81,7 @@ def boundary_matrix(cx: SimplicialComplex, i: int) -> SparseMatrix:
     """
     if not -1 <= i <= cx.dim:
         raise PreconditionError(f"boundary degree {i} out of range")
-    by_size = _faces_by_size(cx.masks)
+    by_size = _faces_by_size(face_meets(cx.masks))
     for faces in by_size:
         faces.sort(key=lambda f: [v for v in range(f.bit_length()) if f >> v & 1])
     return _boundary(by_size, i + 1)
@@ -231,20 +232,32 @@ def _mask_homology(masks: list[int], field: FieldSpec) -> tuple[tuple[int, int],
 
 @lru_cache(maxsize=None)
 def _core_homology(core: tuple[int, ...], field: FieldSpec) -> tuple[tuple[int, int], ...]:
-    """Reduced homology of a relabelled strong core.
+    """Reduced homology of a relabelled strong core on n vertices.
 
-    Over GF(2) the XOR ranks are the answer.  Over QQ they are the answer
-    too when the GF(2) homology sits in at most one degree: each rational
-    Betti number is at most the GF(2) one (universal coefficients) and the
-    alternating sums agree.  Other cores, and every core over an odd prime
-    field, are ranked by `rank`.
+    A core holding more than half the subsets of its vertices is ranked
+    through its Alexander dual, the complements of its non-faces, which has
+    fewer faces: H~_i(core) = H~^(n-i-3)(dual) over every field.  The dual
+    is {()} exactly when the core is the boundary of the (n-1)-simplex, a
+    sphere of dimension n - 2.  Over GF(2) the XOR ranks are the answer.
+    Over QQ they are the answer too when the GF(2) homology sits in at most
+    one degree: each rational Betti number is at most the GF(2) one
+    (universal coefficients) and the alternating sums agree.  Other
+    complexes, and every complex over an odd prime field, are ranked by
+    `rank`.
     """
     p = field.characteristic
-    by_size = _faces_by_size(core)
+    faces = face_meets(list(core))
+    n = max(core).bit_length()
+    if dual := len(faces) > 1 << n - 1:
+        full = (1 << n) - 1
+        faces = [full ^ g for g in range(full + 1) if g not in faces]
+        if faces == [0]:
+            return ((n - 2, 1),)
+    by_size = _faces_by_size(faces)
     dims = None if p % 2 else _betti(by_size, lambda s: _gf2_rank(by_size, s))
     if dims is None or (p == 0 and len(dims) > 1):
         dims = _betti(by_size, lambda s: rank(_boundary(by_size, s), field))
-    return dims
+    return tuple((n - 3 - j, h) for j, h in reversed(dims)) if dual else dims
 
 
 def reduced_homology(cx: SimplicialComplex, field: FieldSpec) -> tuple[tuple[int, int], ...]:

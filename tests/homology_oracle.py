@@ -6,11 +6,14 @@ ranks: every face listed by dimension, one validated boundary matrix per
 degree, each ranked by `rank` over the given field.
 
 Run as a script, it compares both routes over a seeded pool of random
-complexes over QQ, GF(2) and GF(3).  It also compares the face scan that
-computes one link per orbit of interchangeable vertices with the plain
-scan, on the polarizations of a seeded pool of non-squarefree ideals on 2-6
-variables with exponents up to 3 (at most 12 polarized vertices), over the
-same fields.  It exits 1 on any mismatch:
+complexes over QQ, GF(2), GF(3) and GF(5).  On the polarizations of a
+seeded pool of non-squarefree ideals on 2-6 variables with exponents up to
+3 (at most 12 polarized vertices), over the same fields, it compares both
+routes again on each complex and on the link of each face the scan visits
+(dense complexes, most of them ranked through their Alexander duals), and
+the face scan that computes one link per orbit of interchangeable vertices
+with the plain scan.  It prints the time of each part and exits 1 on any
+mismatch:
 
     PYTHONPATH=src python tests/homology_oracle.py --samples 2000 --ideals 400 --seed 1
 """
@@ -19,7 +22,9 @@ import random
 import sys
 from time import perf_counter
 
-from maxdepth.complexes import from_squarefree_ideal
+from maxdepth.complexes import (
+    SimplicialComplex, face_meets, face_tuples, from_squarefree_ideal, link,
+)
 from maxdepth.ideals import F2, FieldSpec, QQ, polarize
 from maxdepth.invariants import complex_table
 from maxdepth.linalg import SparseMatrix, rank, reduced_homology
@@ -29,7 +34,7 @@ from conftest import random_monomial_ideal
 from faces_oracle import all_faces
 from reisner_oracle import twin_classes
 
-FIELDS = (QQ, F2, FieldSpec(3))
+FIELDS = (QQ, F2, FieldSpec(3), FieldSpec(5))
 
 
 def faces_by_dim(cx):
@@ -83,13 +88,27 @@ def polarized_pool(seed, samples):
     return pols
 
 
+def scanned_links(cx):
+    """The complex and the link of every nonempty face equal to its meet,
+    the faces the scan of `complex_table` visits, each on its own vertices
+    relabelled in order."""
+    faces = face_tuples(f for f, meet in face_meets(cx.masks).items() if f == meet)
+    links = []
+    for lk in [cx] + [link(cx, s) for s in faces if s]:
+        used = sorted({v for f in lk.facets for v in f})
+        label = {v: k for k, v in enumerate(used)}
+        links.append(SimplicialComplex(len(used), tuple(tuple(map(label.get, f))
+                                                        for f in lk.facets)))
+    return links
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--samples", type=int, default=2000)
     ap.add_argument("--ideals", type=int, default=400)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    t0 = perf_counter()
+    start = t0 = perf_counter()
     mismatches = 0
     for cx in pool(args.seed, args.samples):
         for field in FIELDS:
@@ -101,8 +120,23 @@ def main(argv=None) -> int:
     print(f"{args.samples} complexes x {len(FIELDS)} fields, {mismatches} mismatches, "
           f"{perf_counter() - t0:.1f} s")
     t0 = perf_counter()
+    pols = polarized_pool(args.seed, args.ideals)
+    dense, dense_mismatches = set(), 0
+    for J in pols:
+        for cx in set(scanned_links(from_squarefree_ideal(J))) - dense:
+            dense.add(cx)
+            for field in FIELDS:
+                got = reduced_homology(cx, field)
+                want = full_homology(cx, field)
+                if got != want:
+                    dense_mismatches += 1
+                    print(f"mismatch over {field}: {cx.facets} gave {got}, expected {want}")
+    print(f"{args.ideals} polarizations and their scanned links, {len(dense)} distinct "
+          f"complexes x "
+          f"{len(FIELDS)} fields, {dense_mismatches} mismatches, {perf_counter() - t0:.1f} s")
+    t0 = perf_counter()
     orbit_mismatches = 0
-    for J in polarized_pool(args.seed, args.ideals):
+    for J in pols:
         cx, twins = from_squarefree_ideal(J), twin_classes(J)
         for field in FIELDS:
             if complex_table(cx, field, twins) != complex_table(cx, field):
@@ -110,7 +144,8 @@ def main(argv=None) -> int:
                 print(f"orbit scan mismatch over {field}: {J.format()} with twins {twins}")
     print(f"{args.ideals} polarizations x {len(FIELDS)} fields, orbit scan against plain "
           f"scan, {orbit_mismatches} mismatches, {perf_counter() - t0:.1f} s")
-    return 1 if mismatches or orbit_mismatches else 0
+    print(f"total {perf_counter() - start:.1f} s")
+    return 1 if mismatches or dense_mismatches or orbit_mismatches else 0
 
 
 if __name__ == "__main__":

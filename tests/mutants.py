@@ -125,11 +125,13 @@ MUTANTS = (
         ("tests/test_cli.py::TestOtherCommands::test_regress",),
     ),
     # the faces walked on the facets less the cone are scanned without the
-    # cone that every meet holds
+    # cone that every meet holds (the text moved when the scan began to sort
+    # each face's key with its mask, so that the mask is not rebuilt from
+    # its tuple)
     Mutant(
         "cone-re-add", "invariants.py",
-        "face_tuples(sm | cone for sm, meet",
-        "face_tuples(sm for sm, meet",
+        "face_key(sm | cone), sm) for sm, meet",
+        "face_key(sm), sm) for sm, meet",
         ("tests/test_invariants.py::TestScalars::test_zero_ideal",
          "tests/test_invariants.py::TestComplexTable::test_walk_leaves_out_the_cone"),
     ),
@@ -148,6 +150,20 @@ MUTANTS = (
         "if dims is None or (p == 0 and len(dims) > 1):",
         "if dims is None:",
         ("tests/test_linalg.py::TestReducedHomology::test_projective_plane_depends_on_field",),
+    ),
+    # Alexander duality read with the shift n - i - 2
+    Mutant(
+        "dual-shift", "linalg.py",
+        "(n - 3 - j, h)",
+        "(n - 2 - j, h)",
+        ("tests/test_linalg.py::TestAlexanderDual::test_dense_complexes_match_full_elimination",),
+    ),
+    # the boundary of the (n-1)-simplex read as a sphere one dimension down
+    Mutant(
+        "simplex-boundary-degree", "linalg.py",
+        "return ((n - 2, 1),)",
+        "return ((n - 3, 1),)",
+        ("tests/test_linalg.py::TestAlexanderDual::test_simplex_boundary_is_read_off_the_empty_dual",),
     ),
     # every vertex is deleted, dominated or not
     Mutant(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,18 +7,19 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from maxdepth.errors import MalformedInputError, PreconditionError
-from maxdepth.ideals import F2, FieldSpec, QQ
+from maxdepth.ideals import F2, FieldSpec, QQ, polarize
 from maxdepth import linalg
 from maxdepth.complexes import (
     SimplicialComplex,
     cycle_edge_ideal,
+    face_meets,
     from_squarefree_ideal,
     link,
 )
 from maxdepth.linalg import SparseMatrix, _strong_core, boundary_matrix, rank, reduced_homology
 from maxdepth.random_instances import random_complex
 from faces_oracle import all_faces
-from homology_oracle import FIELDS, full_homology, pool
+from homology_oracle import FIELDS, full_homology, polarized_pool, pool, scanned_links
 from rank_oracle import dense, rank_modp
 
 HOLLOW_TRIANGLE = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
@@ -44,6 +46,38 @@ def mod3_moore_space() -> SimplicialComplex:
         p, p1, q, q1 = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % 9
         facets += [(p, p1, q), (p1, q, q1), (q, q1, 12)]
     return SimplicialComplex(13, tuple(facets))
+
+
+# the boundary of the octahedron, a 2-sphere on 6 vertices with 27 faces
+OCTAHEDRON = SimplicialComplex(6, tuple(itertools.product((0, 1), (2, 3), (4, 5))))
+
+
+def simplex_boundary(k):
+    """The boundary of the k-simplex, a (k-1)-sphere on k + 1 vertices."""
+    return SimplicialComplex(k + 1, tuple(itertools.combinations(range(k + 1), k)))
+
+
+def side_spy(monkeypatch):
+    """Clear the core memo and record, for each core `_core_homology`
+    walks, its face count in `walked`, and in `duals` whether the faces it
+    then lists for ranking are fewer (its Alexander dual is ranked).  A
+    walk with nothing listed after it is a dual equal to {()}."""
+    walked, duals = [], []
+    walk, listing = linalg.face_meets, linalg._faces_by_size
+
+    def counted_walk(masks):
+        faces = walk(masks)
+        walked.append(len(faces))
+        return faces
+
+    def counted_listing(faces):
+        duals.append(len(faces) < walked[-1])
+        return listing(faces)
+
+    monkeypatch.setattr(linalg, "face_meets", counted_walk)
+    monkeypatch.setattr(linalg, "_faces_by_size", counted_listing)
+    linalg._core_homology.cache_clear()
+    return walked, duals
 
 
 def masks(*faces):
@@ -278,11 +312,44 @@ class TestFacesBySize:
     def test_every_face_once(self):
         # a second empty face would shift every homology rank
         for cx in (SimplicialComplex(2, ((),)), HOLLOW_TRIANGLE, RP2, MOBIUS, *pool(0, 200)):
-            by_size = linalg._faces_by_size(cx.masks)
+            by_size = linalg._faces_by_size(face_meets(cx.masks))
             assert all(f.bit_count() == k for k, faces in enumerate(by_size) for f in faces)
             listed = [tuple(v for v in range(f.bit_length()) if f >> v & 1)
                       for faces in by_size for f in faces]
             assert sorted(listed, key=lambda f: (len(f), f)) == list(all_faces(cx)), cx
+
+
+class TestGF2Rank:
+    def test_xor_rank_matches_rank_at_every_size(self, pool_mixed):
+        cxs = [RP2, MOBIUS, OCTAHEDRON, mod3_moore_space(), *pool(0, 200)]
+        cxs += [from_squarefree_ideal(J) for J in map(polarize, pool_mixed) if J.ring.n <= 10]
+        for cx in cxs:
+            by_size = linalg._faces_by_size(face_meets(cx.masks))
+            for s in range(2, len(by_size)):
+                assert linalg._gf2_rank(by_size, s) == rank(linalg._boundary(by_size, s), F2), cx
+
+
+class TestAlexanderDual:
+    """Cores holding more than half the subsets of their vertices are ranked
+    through their Alexander duals."""
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_simplex_boundary_is_read_off_the_empty_dual(self, monkeypatch, k):
+        cx = simplex_boundary(k)
+        walked, duals = side_spy(monkeypatch)
+        for field in FIELDS:
+            assert reduced_homology(cx, field) == full_homology(cx, field) == ((k - 1, 1),)
+        # the dual is {()}: every walk ends with nothing listed or ranked
+        assert walked and not duals
+
+    def test_dense_complexes_match_full_elimination(self, monkeypatch):
+        # polarized complexes and the links their scan visits are dense
+        cxs = {lk for J in polarized_pool(2, 12) for lk in scanned_links(from_squarefree_ideal(J))}
+        walked, duals = side_spy(monkeypatch)
+        for cx in cxs:
+            for field in FIELDS:
+                assert reduced_homology(cx, field) == full_homology(cx, field), (cx, field)
+        assert sum(duals) > len(duals) // 2 and len(walked) > len(duals)
 
 
 class TestStrongCore:
