@@ -21,7 +21,7 @@ from .ideals import (
     ring,
     unit_ideal,
 )
-from .complexes import face_meets, face_tuples, to_ideal
+from .complexes import face_key, face_meets, face_tuples, to_ideal
 from .invariants import profile
 from .random_instances import random_complex
 
@@ -140,18 +140,18 @@ def is_sequentially_cm(I: MonomialIdeal) -> SeqCMResult:
 
     The first failing level i is the witness.  On squarefree input the
     face and homology degree are the least (|s|, s, k - |s| - 1) over the
-    contributions (s, h) at degrees k <= i of that level's table, a link
-    with homology below its dimension in the pure skeleton Delta^[i]
-    (Duval 1996).  On non-squarefree input that table's faces belong to
-    the polarization, so the witness is the level alone.
+    contributions (s, h) at degrees k <= i of that level's table, s read
+    as a tuple: a link with homology below its dimension in the pure
+    skeleton Delta^[i] (Duval 1996).  On non-squarefree input that table's
+    faces belong to the polarization, so the witness is the level alone.
     """
     profile(I)  # rejects the unit ideal, then checks the vertex cap before the cover search
     for i, lv in enumerate(dimension_filtration(I).levels[:-1]):
         p = profile(lv.ideal)
         if p.depth <= i:
-            t = p.hochster.degrees
-            low = [(len(s), s, k - len(s) - 1) for k in range(i + 1) for s, _ in t[k].contributions]
-            return SeqCMResult("false", i, *min(low)[1:] if I.is_squarefree else ())
+            (_, face), j = min((face_key(s), k - s.bit_count() - 1)
+                               for k in range(i + 1) for s, _ in p.hochster.degrees[k].contributions)
+            return SeqCMResult("false", i, *(face, j) if I.is_squarefree else ())
     return SeqCMResult("true")
 
 
@@ -199,7 +199,7 @@ def psupp_monomial(I: MonomialIdeal, i: int) -> tuple[tuple[int, ...], ...]:
         raise SquarefreeRequiredError("Psupp scan needs a squarefree ideal")
     t = profile(I).hochster.degrees
     tops = t[i].contributions if 0 <= i < len(t) else ()
-    return tuple(face_tuples(face_meets([sum(1 << v for v in s) for s, _ in tops])))
+    return tuple(face_tuples(face_meets([s for s, _ in tops])))
 
 
 # ---------------------------------------------------------------------------

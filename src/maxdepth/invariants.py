@@ -30,7 +30,6 @@ from .ideals import (
 )
 from .complexes import (
     SimplicialComplex,
-    face_key,
     face_meets,
     from_squarefree_ideal,
 )
@@ -38,7 +37,8 @@ from .linalg import _mask_homology
 
 
 class HochsterDegree(NamedTuple):
-    contributions: tuple[tuple[tuple[int, ...], int], ...]  # (face, homology dim)
+    """(face mask, homology dim) pairs of one degree, by ascending mask from the scan."""
+    contributions: tuple[tuple[int, int], ...]
 
     @property
     def nonzero(self) -> bool:
@@ -47,7 +47,7 @@ class HochsterDegree(NamedTuple):
     @property
     def finite_length(self) -> bool:
         """Only the empty face contributes."""
-        return all(s == () for s, _ in self.contributions)
+        return all(s == 0 for s, _ in self.contributions)
 
     @property
     def k_dim(self) -> int | None:
@@ -69,7 +69,7 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec,
     length at i means only the empty face contributes there.
 
     Only the faces equal to their meet, the intersection of the facets
-    that hold them, are scanned, by size, then lexicographic.  Any other
+    that hold them, are scanned, in ascending mask order.  Any other
     face s has a vertex outside s in every facet through s, so link s is a
     cone over that vertex and has no reduced homology.  Every meet holds
     the cone C of vertices in every facet, and meet(s) = meet'(s - C) + C
@@ -89,7 +89,7 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec,
     representative.
     """
     d = max(len(f) for f in cx.facets)  # Krull dimension of k[cx]
-    contribs: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(d + 1)]
+    contribs: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
     masks = cx.masks
     cone = reduce(and_, masks)
     masks = [m ^ cone for m in masks]
@@ -102,15 +102,14 @@ def complex_table(cx: SimplicialComplex, field: FieldSpec,
         if len(firsts) > 2:
             orbits.append((firsts[-1], firsts))
     seen: dict[int, tuple[tuple[int, int], ...]] = {}  # representative -> homology
-    for (size, s), sm in sorted((face_key(sm | cone), sm) for sm, meet in face_meets(masks).items()
-                                if sm == meet):
+    for sm in sorted(sm for sm, meet in face_meets(masks).items() if sm == meet):
         rep = sm
         for c, firsts in orbits:
             rep = rep & ~c | firsts[(sm & c).bit_count()]
         if rep not in seen:
             seen[rep] = _mask_homology([fm ^ rep for fm in masks if fm & rep == rep], field)
         for j, h in seen[rep]:
-            contribs[j + size + 1].append((s, h))
+            contribs[j + (sm | cone).bit_count() + 1].append((sm | cone, h))
     return HochsterTable(tuple(HochsterDegree(tuple(c)) for c in contribs))
 
 

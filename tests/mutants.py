@@ -79,10 +79,13 @@ MUTANTS = (
         "return I.ring.n - profile(I).mdepth",
         ("tests/test_invariants.py::TestProfile::test_projdim_matches_the_betti_oracle",),
     ),
+    # finite length read as "the empty face contributes", not "only the
+    # empty face" (the text moved when the table's faces became masks, the
+    # empty face 0 where it was the tuple ())
     Mutant(
         "finite-length-any", "invariants.py",
-        "return all(s == () for s, _ in self.contributions)",
-        "return any(s == () for s, _ in self.contributions)",
+        "return all(s == 0 for s, _ in self.contributions)",
+        "return any(s == 0 for s, _ in self.contributions)",
         ("tests/test_invariants.py::TestProfile::test_generalized_cm_with_maximal_depth_is_cm_or_depth_zero",
          "tests/test_cli.py::TestAnalyze::test_gens_input"),
     ),
@@ -125,15 +128,27 @@ MUTANTS = (
         ("tests/test_cli.py::TestOtherCommands::test_regress",),
     ),
     # the faces walked on the facets less the cone are scanned without the
-    # cone that every meet holds (the text moved when the scan began to sort
-    # each face's key with its mask, so that the mask is not rebuilt from
-    # its tuple)
+    # cone that every meet holds, so each lands in a degree too low (the
+    # text moved when the table's faces became masks: the degree is read
+    # off the face's mask, no longer off its sorted key)
     Mutant(
         "cone-re-add", "invariants.py",
-        "face_key(sm | cone), sm) for sm, meet",
-        "face_key(sm), sm) for sm, meet",
+        "j + (sm | cone).bit_count() + 1",
+        "j + sm.bit_count() + 1",
         ("tests/test_invariants.py::TestScalars::test_zero_ideal",
          "tests/test_invariants.py::TestComplexTable::test_walk_leaves_out_the_cone"),
+    ),
+    # each face is stored without the cone, in its right degree: a seqCM
+    # witness loses its cone vertices, and the face equal to the cone reads
+    # as the empty face, so the top degree of a simplex (the zero ideal)
+    # reads as finite length; the cone over C5 alone keeps its answers,
+    # since other faces still contribute at its top degree
+    Mutant(
+        "cone-unstored", "invariants.py",
+        "(sm | cone, h)",
+        "(sm, h)",
+        ("tests/test_cli.py::TestOtherCommands::test_regress",
+         "tests/test_cli.py::TestOtherCommands::test_probe"),
     ),
     # no cone read: the walk runs on the full facets, and the faces it
     # yields are the same, so every table stays the same; only the spy on

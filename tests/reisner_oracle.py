@@ -15,12 +15,13 @@ from faces_oracle import all_faces
 
 def table_by_all_faces(cx, field):
     """Contributions (s, h) per degree 0..dim k[cx], from the homology of the
-    link of every face, cones included."""
+    link of every face, cones included; each face s is turned into its
+    vertex mask only at the return, and each degree is sorted by mask."""
     contribs = [[] for _ in range(cx.dim + 2)]
     for s in all_faces(cx):
         for j, h in reduced_homology(link(cx, s), field):
             contribs[j + len(s) + 1].append((s, h))
-    return tuple(tuple(c) for c in contribs)
+    return tuple(tuple(sorted((sum(1 << v for v in s), h) for s, h in c)) for c in contribs)
 
 
 def twin_classes(J):

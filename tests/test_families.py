@@ -1,6 +1,7 @@
 """The engine against the closed forms of `tests/families_oracle.py`: paths
-P2-P16 and cycles C3-C16 over QQ and GF(2), and the depths of C4^2 and
-C5^2, each formula with its negative control.  The projdim forms are
+P2-P16, cycles C3-C16, K2-K8, K_{m,n} with 1 <= m <= n <= 5, W(P2)-W(P7)
+and W(C3)-W(C7) over QQ and GF(2), and the depths of C4^2 and C5^2, each
+formula with its negative control.  The projdim forms are
 checked against the Betti numbers of `tests/betti_oracle.py` on P2-P10 and
 C3-C10, over the same fields."""
 import pytest
@@ -14,6 +15,7 @@ import betti_oracle
 from families_oracle import (
     ANSWERS,
     CONTROLS,
+    GRAPHS,
     PROJDIM,
     PROJDIM_CONTROLS,
     cycle_edges,
@@ -32,15 +34,26 @@ def answers_of(I):
             "sequentially_cm": {"true": True, "false": False}.get(status, status)}
 
 
+# family -> the keys tier-1 checks
+SIZES = {
+    "path": range(2, 17),
+    "cycle": range(3, 17),
+    "complete": range(2, 9),
+    "complete_bipartite": [(m, n) for m in range(1, 6) for n in range(m, 6)],
+    "whiskered_path": range(2, 8),
+    "whiskered_cycle": range(3, 8),
+}
+
+
 @pytest.fixture(scope="module")
 def engine():
     """(family, key, field) -> the engine's answers."""
     got = {}
     for field in (QQ, F2):
-        for family, sizes, edges in (("path", range(2, 17), path_edges),
-                                     ("cycle", range(3, 17), cycle_edges)):
-            for n in sizes:
-                got[family, n, field] = answers_of(parse_edge_list(edge_list(n, edges(n)), field))
+        for family, keys in SIZES.items():
+            for key in keys:
+                text = edge_list(*GRAPHS[family](key))
+                got[family, key, field] = answers_of(parse_edge_list(text, field))
         for n, t in ((4, 2), (5, 2)):
             I = parse_generators(power_text(n, cycle_edges(n), t), nvars=n, field=field)
             got["power", (n, t), field] = {"depth": profile(I).depth}

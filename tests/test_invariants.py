@@ -224,7 +224,7 @@ class TestHochsterTable:
         assert not t.degrees[0].nonzero
         mid = t.degrees[1]
         assert mid.nonzero and mid.finite_length and mid.k_dim == 1
-        assert mid.contributions == (((), 1),)
+        assert mid.contributions == ((0, 1),)
         assert not t.degrees[2].finite_length
 
     def test_top_degree_never_finite_length_when_dim_positive(self):

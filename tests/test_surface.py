@@ -252,6 +252,9 @@ RULES = (
      "depth and dim are the profile's"),
     ("projdim-by-auslander-buchsbaum", grep(r"_upper_koszul"), ALL,
      "projdim is n - depth; the Betti numbers over the lcm lattice are tests/betti_oracle.py"),
+    ("tables-hold-masks", grep(r"\b(face_key|face_tuples)\b"), r"invariants\.py",
+     "the scan stores each face as the mask face_meets walked; a face becomes a vertex tuple "
+     "only where it is printed"),
 )
 
 
@@ -305,6 +308,9 @@ VIOLATIONS = {
                             [1, 2, 3, 4, 10, 11, 12, 13, 14]),
     "projdim-by-auslander-buchsbaum": ("def _upper_koszul(I, b):\nreturn I.ring.n - profile(I).depth\n"
                                        "reduced_homology(_upper_koszul(I, b), field)\nupper_koszul", [1, 3]),
+    "tables-hold-masks": ("from .complexes import face_key, face_meets\nface_meets(masks)\n"
+                          "s for _, s in sorted(map(face_key, faces))\nface_tuples(faces)\n"
+                          "face_keys = 0\nmy_face_tuples", [1, 3, 4]),
 }
 
 
