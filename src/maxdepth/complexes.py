@@ -32,10 +32,6 @@ from .ideals import (
 )
 
 
-def _facet_key(f: tuple[int, ...]):
-    return (len(f), f)
-
-
 class SimplicialComplex(NamedTuple(
     "SimplicialComplex", [("n", int), ("facets", tuple[tuple[int, ...], ...])]
 )):
@@ -44,17 +40,17 @@ class SimplicialComplex(NamedTuple(
     def __new__(cls, n: int, facets: tuple[tuple[int, ...], ...]):
         if n < 0:
             raise MalformedInputError("vertex count must be non-negative")
-        cleaned = sorted({tuple(sorted(set(f))) for f in facets}, key=_facet_key)
-        if any(f and (f[0] < 0 or f[-1] >= n) for f in cleaned):
-            raise MalformedInputError("facet vertex out of range")
-        # largest first: a facet can only lie strictly inside a larger one, and
-        # `<` on frozensets compares sizes before it tests members
-        maximal: dict[frozenset[int], tuple[int, ...]] = {}
-        for f in reversed(cleaned):
-            s = frozenset(f)
-            if not any(map(s.__lt__, maximal)):
-                maximal[s] = f
-        return super().__new__(cls, n, tuple(reversed(maximal.values())) or ((),))
+        masks = set()
+        for f in map(frozenset, facets):
+            if not all(0 <= v < n for v in f):
+                raise MalformedInputError("facet vertex out of range")
+            masks.add(sum(1 << v for v in f))
+        # largest first: a facet can only lie strictly inside a larger one
+        maximal: list[int] = []
+        for m in sorted(masks, key=int.bit_count, reverse=True):
+            if not any(m & k == m for k in maximal):
+                maximal.append(m)
+        return super().__new__(cls, n, tuple(face_tuples(maximal)) or ((),))
 
     @property
     def dim(self) -> int:
@@ -110,8 +106,10 @@ def from_squarefree_ideal(I: MonomialIdeal) -> SimplicialComplex:
         )
     n = I.ring.n
     check_vertex_cap(n)
-    facets = tuple(tuple(v for v in range(n) if (v, 1) not in c) for c in irreducible_covers(I))
-    return SimplicialComplex(n, facets)
+    # `_make` skips the maximality filter: the complements of the minimal
+    # covers form an antichain
+    facets = face_tuples(((1 << n) - 1) ^ sum(1 << v for v, _ in c) for c in irreducible_covers(I))
+    return SimplicialComplex._make((n, tuple(facets)))
 
 
 def to_ideal(cx: SimplicialComplex, rng: RingDescriptor | None = None) -> MonomialIdeal:

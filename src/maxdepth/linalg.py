@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import MalformedInputError, PreconditionError
 from .ideals import FieldSpec
-from .complexes import SimplicialComplex, face_meets
+from .complexes import SimplicialComplex, face_key, face_meets
 
 
 class SparseMatrix(NamedTuple(
@@ -83,7 +83,7 @@ def boundary_matrix(cx: SimplicialComplex, i: int) -> SparseMatrix:
         raise PreconditionError(f"boundary degree {i} out of range")
     by_size = _faces_by_size(face_meets(cx.masks))
     for faces in by_size:
-        faces.sort(key=lambda f: [v for v in range(f.bit_length()) if f >> v & 1])
+        faces.sort(key=face_key)
     return _boundary(by_size, i + 1)
 
 

@@ -3,8 +3,9 @@
 Every name `maxdepth/__init__.py` imports is listed in README's "Library"
 section or has a caller in src/maxdepth outside its own module.  Every rule
 in RULES holds on every engine file in its scope, every name the
-benchmark tracer wraps still exists, and every mutant of tests/mutants.py
-still finds its text."""
+benchmark tracer wraps still exists, every mutant of tests/mutants.py
+still finds its text, and the harness's kill rule reads pytest's node ids
+as it should."""
 import ast
 import importlib
 import re
@@ -346,6 +347,23 @@ def test_every_mutant_applies_once():
     from mutants import MUTANTS
     for m in MUTANTS:
         assert (PACKAGE / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
+
+
+PAIRED = "tests/test_x.py::TestA::test_b"
+
+
+@pytest.mark.parametrize("failed, killed", [
+    ({PAIRED}, True),
+    ({PAIRED + "[QQ-3]"}, True),  # one case of a parametrized test
+    ({"tests/test_x.py"}, True),  # the file did not collect
+    ({"tests/test_x.py::TestA"}, True),  # the class did not collect
+    ({"tests/test_x.py::TestA::test_bc", "tests/test_x.py::TestAB",
+      "tests/test_y.py::TestA::test_b", "tests/test_x.py::test_b"}, False),  # unrelated
+    (set(), False),
+], ids=["node", "parametrized", "file-collection", "class-collection", "unrelated", "none"])
+def test_mutant_kill_rule(failed, killed):
+    from mutants import hits
+    assert hits(failed, PAIRED) is killed
 
 
 def test_every_traced_name_resolves():
