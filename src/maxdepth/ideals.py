@@ -415,23 +415,10 @@ def polarize(I: MonomialIdeal) -> MonomialIdeal:
     rng = I.ring
     slots = [max(1, e) for e in I.lcm_of_gens().exponents]
     check_vertex_cap(sum(slots))
-    names: list[str] = []
-    start = [0] * rng.n
-    for i, s in enumerate(slots):
-        start[i] = len(names)
-        if s == 1:
-            names.append(rng.names[i])
-        else:
-            names.extend(f"{rng.names[i]}_{j + 1}" for j in range(s))
-    new_ring = RingDescriptor(tuple(names), rng.field_spec)
-    new_gens = []
-    for g in I.gens:
-        exps = [0] * new_ring.n
-        for i, e in enumerate(g.exponents):
-            for j in range(e):
-                exps[start[i] + j] = 1
-        new_gens.append(Monomial(tuple(exps)))
-    return MonomialIdeal(new_ring, tuple(new_gens))
+    names = tuple(x if s == 1 else f"{x}_{j + 1}" for x, s in zip(rng.names, slots) for j in range(s))
+    return MonomialIdeal(RingDescriptor(names, rng.field_spec), tuple(
+        Monomial(sum(((1,) * e + (0,) * (s - e) for e, s in zip(g.exponents, slots)), ()))
+        for g in I.gens))
 
 
 def tensor_join(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from maxdepth.complexes import SimplicialComplex, to_ideal
 from maxdepth.filtration import is_sequentially_cm
@@ -8,6 +10,53 @@ from maxdepth.ideals import F2, QQ, Monomial, MonomialIdeal, associated_primes, 
 from maxdepth.random_instances import random_complex
 
 POOL_SEED = 20260824
+
+# antipodal quotient of the icosahedron: 6 vertices, 10 triangles; its
+# Stanley-Reisner ring has depth 3 over QQ and 2 over GF(2)
+RP2 = SimplicialComplex(
+    6,
+    (
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 5), (0, 4, 5),
+        (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+    ),
+)
+
+# the 5-vertex Moebius band 123, 124, 135, 245, 345 plus an isolated vertex
+MOBIUS = SimplicialComplex(6, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4), (2, 3, 4), (5,)))
+
+HOLLOW_TRIANGLE = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
+
+# the boundary of the octahedron, a 2-sphere on 6 vertices with 27 faces
+OCTAHEDRON = SimplicialComplex(6, tuple(itertools.product((0, 1), (2, 3), (4, 5))))
+
+
+def mod3_moore_space() -> SimplicialComplex:
+    """A disk whose boundary 9-gon wraps three times around the hollow
+    triangle abc: H_1 = Z/3 and H_2 = 0 over the integers.  Vertices: a, b, c
+    (0-2), an inner ring q_0..q_8 (3-11) and the centre z (12)."""
+    facets = []
+    for i in range(9):
+        p, p1, q, q1 = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % 9
+        facets += [(p, p1, q), (p1, q, q1), (q, q1, 12)]
+    return SimplicialComplex(13, tuple(facets))
+
+
+def mk(n, *exps):
+    return MonomialIdeal(ring(n), tuple(Monomial(e) for e in exps))
+
+
+small_ideals = st.builds(
+    mk,
+    st.just(3),
+    *[
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+        for _ in range(3)
+    ],
+)
+
+complexes = st.integers(0, 10 ** 9).map(
+    lambda s: random_complex(random.Random(s), random.Random(s ^ 1).randint(2, 6))
+)
 
 
 def random_monomial_ideal(rng, n, max_gens=4, max_exp=3, field=QQ):

@@ -5,15 +5,17 @@ This was the engine's own route before the strong collapse and the GF(2)
 ranks: every face listed by dimension, one validated boundary matrix per
 degree, each ranked by `rank` over the given field.
 
-Run as a script, it compares both routes over a seeded pool of random
-complexes over QQ, GF(2), GF(3) and GF(5).  On the polarizations of a
-seeded pool of non-squarefree ideals on 2-6 variables with exponents up to
-3 (at most 12 polarized vertices), over the same fields, it compares both
-routes again on each complex and on the link of each face the scan visits
-(dense complexes, most of them ranked through their Alexander duals), and
-the face scan that computes one link per orbit of interchangeable vertices
-with the plain scan.  It prints the time of each part and exits 1 on any
-mismatch:
+Run as a script, it compares both routes on the named complexes of
+tests/conftest.py (RP2, the mod-3 Moore space, the Moebius band plus a
+vertex and the octahedron) over QQ, GF(2), GF(3), GF(5) and GF(7), and on
+a seeded pool of random complexes over the first four.  On the
+polarizations of a seeded pool of non-squarefree ideals on 2-6 variables
+with exponents up to 3 (at most 12 polarized vertices), over those four
+fields, it compares both routes again on each complex and on the link of
+each face the scan visits (dense complexes, most of them ranked through
+their Alexander duals), and the face scan that computes one link per orbit
+of interchangeable vertices with the plain scan.  It prints the time of
+each part and exits 1 on any mismatch:
 
     PYTHONPATH=src python tests/homology_oracle.py --samples 2000 --ideals 400 --seed 1
 """
@@ -30,7 +32,7 @@ from maxdepth.invariants import complex_table
 from maxdepth.linalg import SparseMatrix, rank, reduced_homology
 from maxdepth.random_instances import random_complex
 
-from conftest import random_monomial_ideal
+from conftest import MOBIUS, OCTAHEDRON, RP2, mod3_moore_space, random_monomial_ideal
 from faces_oracle import all_faces
 from reisner_oracle import twin_classes
 
@@ -68,6 +70,20 @@ def full_homology(cx, field):
         if h:
             dims.append((i, h))
     return tuple(dims)
+
+
+def compare(cxs, fields):
+    """The number of (complex, field) pairs on which the two routes differ,
+    each printed."""
+    mismatches = 0
+    for cx in cxs:
+        for field in fields:
+            got = reduced_homology(cx, field)
+            want = full_homology(cx, field)
+            if got != want:
+                mismatches += 1
+                print(f"mismatch over {field}: {cx.facets} gave {got}, expected {want}")
+    return mismatches
 
 
 def pool(seed, samples):
@@ -109,28 +125,18 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     start = t0 = perf_counter()
-    mismatches = 0
-    for cx in pool(args.seed, args.samples):
-        for field in FIELDS:
-            got = reduced_homology(cx, field)
-            want = full_homology(cx, field)
-            if got != want:
-                mismatches += 1
-                print(f"mismatch over {field}: {cx.facets} gave {got}, expected {want}")
+    named, fields = (RP2, mod3_moore_space(), MOBIUS, OCTAHEDRON), (*FIELDS, FieldSpec(7))
+    named_mismatches = compare(named, fields)
+    print(f"{len(named)} named complexes x {len(fields)} fields, {named_mismatches} mismatches, "
+          f"{perf_counter() - t0:.1f} s")
+    t0 = perf_counter()
+    mismatches = compare(pool(args.seed, args.samples), FIELDS)
     print(f"{args.samples} complexes x {len(FIELDS)} fields, {mismatches} mismatches, "
           f"{perf_counter() - t0:.1f} s")
     t0 = perf_counter()
     pols = polarized_pool(args.seed, args.ideals)
-    dense, dense_mismatches = set(), 0
-    for J in pols:
-        for cx in set(scanned_links(from_squarefree_ideal(J))) - dense:
-            dense.add(cx)
-            for field in FIELDS:
-                got = reduced_homology(cx, field)
-                want = full_homology(cx, field)
-                if got != want:
-                    dense_mismatches += 1
-                    print(f"mismatch over {field}: {cx.facets} gave {got}, expected {want}")
+    dense = {cx for J in pols for cx in scanned_links(from_squarefree_ideal(J))}
+    dense_mismatches = compare(dense, FIELDS)
     print(f"{args.ideals} polarizations and their scanned links, {len(dense)} distinct "
           f"complexes x "
           f"{len(FIELDS)} fields, {dense_mismatches} mismatches, {perf_counter() - t0:.1f} s")
@@ -145,7 +151,7 @@ def main(argv=None) -> int:
     print(f"{args.ideals} polarizations x {len(FIELDS)} fields, orbit scan against plain "
           f"scan, {orbit_mismatches} mismatches, {perf_counter() - t0:.1f} s")
     print(f"total {perf_counter() - start:.1f} s")
-    return 1 if mismatches or dense_mismatches or orbit_mismatches else 0
+    return 1 if named_mismatches or mismatches or dense_mismatches or orbit_mismatches else 0
 
 
 if __name__ == "__main__":

@@ -260,6 +260,15 @@ MUTANTS = (
         '"degree": h.degree + 1,',
         ("tests/test_cli.py::TestOtherCommands::test_probe_hit_rendering",),
     ),
+    # x_i^e polarized to the last e copies of x_i, not the first: the ideal
+    # is the same up to renaming, so its invariants and the round trip back
+    # to I stay the same, and only the printed generators tell
+    Mutant(
+        "polarize-fills-from-the-top", "ideals.py",
+        "(1,) * e + (0,) * (s - e)",
+        "(0,) * (s - e) + (1,) * e",
+        ("tests/test_cli.py::TestOtherCommands::test_polarize",),
+    ),
 )
 
 

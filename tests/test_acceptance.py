@@ -22,7 +22,6 @@ from maxdepth.ideals import (
     zero_ideal,
 )
 from maxdepth.complexes import (
-    SimplicialComplex,
     cone_vertices,
     cycle_edge_ideal,
     from_squarefree_ideal,
@@ -45,17 +44,10 @@ from maxdepth.random_instances import random_complex
 from maxdepth.regress import C8_PRIMES, c8_ideal, two_planes_ideal
 
 import betti_oracle
+from conftest import RP2
 from faces_oracle import all_faces
 from intersect_oracle import intersect_all, prime_ideal
 from rank_oracle import dense
-
-RP2 = SimplicialComplex(
-    6,
-    (
-        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 5), (0, 4, 5),
-        (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
-    ),
-)
 
 
 def report(name, ok):

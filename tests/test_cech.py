@@ -13,7 +13,7 @@ from maxdepth.ideals import F2, QQ, MonomialIdeal, parse_generators, ring
 from maxdepth.invariants import profile
 
 from cech_oracle import CONTROLS, cech_table, depth, flags
-from test_acceptance import RP2
+from conftest import RP2
 
 
 def oracle(I, **control):

@@ -9,14 +9,11 @@ import pytest
 import maxdepth
 from maxdepth import filtration, invariants
 from maxdepth.cli import main
-from maxdepth.complexes import SimplicialComplex
 from maxdepth.invariants import HochsterTable
 
+from conftest import MOBIUS, RP2
+
 C8 = "--edges=n=8; edges=1-2,2-3,3-4,4-5,5-6,6-7,7-8,1-8"
-RP2_FACETS = [
-    [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 2, 6], [1, 5, 6],
-    [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6],
-]
 
 
 def run_cli(capsys, *argv):
@@ -33,7 +30,7 @@ def run_json(capsys, *argv):
 
 def rp2_flag(tmp_path):
     path = tmp_path / "rp2.json"
-    path.write_text(json.dumps({"vertices": 6, "facets": RP2_FACETS}))
+    path.write_text(json.dumps({"vertices": 6, "facets": [[v + 1 for v in f] for f in RP2.facets]}))
     return f"--facets-json={path}"
 
 
@@ -139,6 +136,7 @@ class TestOtherCommands:
         doc = run_json(capsys, "polarize", "--gens=x1^2,x1*x2")
         assert doc["added_vars"] == 1
         assert doc["vars"] == ["x1_1", "x1_2", "x2"]
+        assert doc["gens"] == ["x1_1*x2", "x1_1*x1_2"]
 
     def test_localize(self, capsys):
         doc = run_json(capsys, "localize", C8, "--face=2,4,6,8")
@@ -189,8 +187,7 @@ class TestOtherCommands:
 
     def test_probe_honours_field(self, capsys, monkeypatch):
         # every sample is RP2: depth 3 = mdepth over QQ, but depth 2 over GF(2)
-        rp2 = SimplicialComplex(6, tuple(tuple(v - 1 for v in f) for f in RP2_FACETS))
-        monkeypatch.setattr(filtration, "random_complex", lambda rng, n: rp2)
+        monkeypatch.setattr(filtration, "random_complex", lambda rng, n: RP2)
         q = run_json(capsys, "--field=q", "--samples=5", "probe")
         f2 = run_json(capsys, "--field=f2", "--samples=5", "probe")
         assert (q["samples"], q["eligible"]) == (5, 5)
@@ -199,8 +196,7 @@ class TestOtherCommands:
     def test_probe_hit_rendering(self, capsys, monkeypatch):
         # the Moebius band 123, 124, 135, 245, 345 with the isolated vertex
         # 6 hits at degree 2 (tests/test_filtration.py::TestProbe)
-        moebius = SimplicialComplex(6, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4), (2, 3, 4), (5,)))
-        monkeypatch.setattr(filtration, "random_complex", lambda rng, n: moebius)
+        monkeypatch.setattr(filtration, "random_complex", lambda rng, n: MOBIUS)
         gens = ["x5*x6", "x4*x6", "x3*x6", "x2*x6", "x1*x6",
                 "x2*x3*x5", "x2*x3*x4", "x1*x4*x5", "x1*x3*x4", "x1*x2*x5"]
         hit = {"gens": gens, "vars": ["x1", "x2", "x3", "x4", "x5", "x6"],

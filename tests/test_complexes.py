@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,18 +32,11 @@ from maxdepth.complexes import (
 )
 from maxdepth.filtration import dimension_filtration
 from maxdepth.invariants import profile
-from maxdepth.random_instances import random_complex
 from maxdepth.regress import C8_PRIMES
 
 from colon_oracle import colon_search_ass
+from conftest import HOLLOW_TRIANGLE, complexes
 from faces_oracle import all_faces
-
-HOLLOW_TRIANGLE = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
-
-complexes = st.integers(0, 10 ** 9).map(
-    lambda s: random_complex(random.Random(s), random.Random(s ^ 1).randint(2, 6))
-)
-
 
 class TestFromSquarefreeIdeal:
     def test_c8_independence_complex(self):

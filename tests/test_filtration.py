@@ -1,13 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from maxdepth.errors import CapExceededError, SquarefreeRequiredError, UndefinedModuleError
 from maxdepth.ideals import (
     F2,
     QQ,
-    Monomial,
     MonomialIdeal,
     PrimeSupport,
     associated_primes,
@@ -19,7 +18,7 @@ from maxdepth.ideals import (
     unit_ideal,
 )
 from maxdepth import filtration, ideals
-from maxdepth.complexes import SimplicialComplex, cycle_edge_ideal, to_ideal
+from maxdepth.complexes import cycle_edge_ideal, to_ideal
 from maxdepth.invariants import localization_profile, profile
 from maxdepth.filtration import (
     AttClaim,
@@ -40,24 +39,10 @@ from maxdepth.random_instances import random_complex
 from maxdepth.regress import C8_PRIMES, c8_ideal, two_planes_ideal
 
 from colon_oracle import colon_search_ass
-from conftest import POOL_SEED, minimal_primes_of
+from conftest import MOBIUS, POOL_SEED, minimal_primes_of, mk, small_ideals
 from faces_oracle import all_faces
 from intersect_oracle import intersect_all, prime_ideal
 from reisner_oracle import psupp_by_link_tables, seqcm_by_rescan
-
-
-def mk(n, *exps):
-    return MonomialIdeal(ring(n), tuple(Monomial(e) for e in exps))
-
-
-small_ideals = st.builds(
-    mk,
-    st.just(3),
-    *[
-        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
-        for _ in range(3)
-    ],
-)
 
 
 class TestDimensionFiltration:
@@ -622,10 +607,9 @@ class TestProbe:
         # mdepth 1; H^2 gets only H~_1 of the band (a circle) from the empty
         # face, since every vertex link of the band is a path, so it is
         # nonzero of finite length
-        moebius = SimplicialComplex(6, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4), (2, 3, 4), (5,)))
-        monkeypatch.setattr(filtration, "random_complex", lambda rng, n: moebius)
+        monkeypatch.setattr(filtration, "random_complex", lambda rng, n: MOBIUS)
         eligible, hits = probe_open_question(ProbeConfig(samples=3, field=field))
-        I = to_ideal(moebius, ring(6, field))
+        I = to_ideal(MOBIUS, ring(6, field))
         assert eligible == 3
         assert hits == (ProbeHit(I, 2, 1, 3),) * 3
         assert [(h.degree, h.depth, h.dim) for h in hits] == [(2, 1, 3)] * 3

@@ -52,23 +52,9 @@ from maxdepth.linalg import SparseMatrix, boundary_matrix
 from maxdepth.regress import C8_PRIMES, c8_ideal
 
 from colon_oracle import colon, colon_search_ass
-from conftest import minimal_primes_of, random_monomial_ideal
+from conftest import HOLLOW_TRIANGLE, minimal_primes_of, mk, random_monomial_ideal, small_ideals
 from cover_oracle import tight_minimal_covers
 from intersect_oracle import intersect, intersect_all, minimal_gens, prime_ideal
-
-
-def mk(n, *exps):
-    return MonomialIdeal(ring(n), tuple(Monomial(e) for e in exps))
-
-
-small_ideals = st.builds(
-    mk,
-    st.just(3),
-    *[
-        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
-        for _ in range(3)
-    ],
-)
 
 
 def cycle_covers(n):
@@ -354,10 +340,10 @@ def public_records():
     prof = profile(I)
     f = dimension_filtration(I)
     levels = quotient_depth_intervals(f)
-    triangle = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
     return [
         Limits(), I.ring.field_spec, I.ring, I.gens[0], prof.ass[0], I,
-        triangle, boundary_matrix(triangle, 1), prof.hochster.degrees[0], prof.hochster, prof,
+        HOLLOW_TRIANGLE, boundary_matrix(HOLLOW_TRIANGLE, 1), prof.hochster.degrees[0],
+        prof.hochster, prof,
         f.levels[0], f, levels[-1], levels[-1].module, is_sequentially_cm(J), att_report(I)[0],
         ProbeConfig(), ProbeHit(I, 1, 1, 2),
     ]

@@ -5,7 +5,7 @@ from functools import reduce
 from operator import and_, or_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from maxdepth.errors import (
     CapExceededError,
@@ -16,8 +16,6 @@ from maxdepth.errors import (
 from maxdepth.ideals import (
     F2,
     FieldSpec,
-    Monomial,
-    MonomialIdeal,
     PrimeSupport,
     QQ,
     parse_generators,
@@ -50,38 +48,15 @@ from maxdepth.random_instances import random_complex
 from maxdepth.regress import c8_ideal, two_planes_ideal
 
 import betti_oracle
-from conftest import POOL_SEED, random_monomial_ideal
+from conftest import POOL_SEED, RP2, random_monomial_ideal, small_ideals
 from faces_oracle import all_faces
 from intersect_oracle import prime_ideal
 from reisner_oracle import table_by_all_faces, twin_classes
-
-RP2 = SimplicialComplex(
-    6,
-    (
-        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 5), (0, 4, 5),
-        (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
-    ),
-)
-
-
-def mk(n, *exps):
-    return MonomialIdeal(ring(n), tuple(Monomial(e) for e in exps))
-
 
 def depth_and_dim(t):
     """A table's least and greatest nonzero degrees: depth and dim of its module."""
     nonzero = [i for i, d in enumerate(t.degrees) if d.nonzero]
     return min(nonzero), max(nonzero)
-
-
-small_ideals = st.builds(
-    mk,
-    st.just(3),
-    *[
-        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
-        for _ in range(3)
-    ],
-)
 
 
 class TestScalars:

@@ -17,39 +17,10 @@ from maxdepth.complexes import (
     link,
 )
 from maxdepth.linalg import SparseMatrix, _strong_core, boundary_matrix, rank, reduced_homology
-from maxdepth.random_instances import random_complex
+from conftest import HOLLOW_TRIANGLE, MOBIUS, OCTAHEDRON, RP2, complexes, mod3_moore_space
 from faces_oracle import all_faces
 from homology_oracle import FIELDS, full_homology, polarized_pool, pool, scanned_links
 from rank_oracle import dense, rank_modp
-
-HOLLOW_TRIANGLE = SimplicialComplex(3, ((0, 1), (1, 2), (0, 2)))
-
-# antipodal quotient of the icosahedron: 6 vertices, 10 triangles
-RP2 = SimplicialComplex(
-    6,
-    (
-        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 5), (0, 4, 5),
-        (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
-    ),
-)
-
-# the 5-vertex Moebius band 123, 124, 135, 245, 345 plus an isolated vertex
-MOBIUS = SimplicialComplex(6, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4), (2, 3, 4), (5,)))
-
-
-def mod3_moore_space() -> SimplicialComplex:
-    """A disk whose boundary 9-gon wraps three times around the hollow
-    triangle abc: H_1 = Z/3 and H_2 = 0 over the integers.  Vertices: a, b, c
-    (0-2), an inner ring q_0..q_8 (3-11) and the centre z (12)."""
-    facets = []
-    for i in range(9):
-        p, p1, q, q1 = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % 9
-        facets += [(p, p1, q), (p1, q, q1), (q, q1, 12)]
-    return SimplicialComplex(13, tuple(facets))
-
-
-# the boundary of the octahedron, a 2-sphere on 6 vertices with 27 faces
-OCTAHEDRON = SimplicialComplex(6, tuple(itertools.product((0, 1), (2, 3), (4, 5))))
 
 
 def simplex_boundary(k):
@@ -125,11 +96,6 @@ def sparse_from_dense(rows):
         (i, j, v) for i, r in enumerate(rows) for j, v in enumerate(r) if v
     )
     return SparseMatrix(len(rows), len(rows[0]), entries)
-
-
-complexes = st.integers(0, 10 ** 9).map(
-    lambda s: random_complex(random.Random(s), random.Random(s ^ 1).randint(2, 6))
-)
 
 
 class TestSparseMatrix:

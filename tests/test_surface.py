@@ -4,8 +4,8 @@ Every name `maxdepth/__init__.py` imports is listed in README's "Library"
 section or has a caller in src/maxdepth outside its own module.  Every rule
 in RULES holds on every engine file in its scope, every name the
 benchmark tracer wraps still exists, every mutant of tests/mutants.py
-still finds its text, and the harness's kill rule reads pytest's node ids
-as it should."""
+still finds its text, the harness's kill rule reads pytest's node ids as
+it should, and no two test files define the same example or helper."""
 import ast
 import importlib
 import re
@@ -364,6 +364,61 @@ PAIRED = "tests/test_x.py::TestA::test_b"
 def test_mutant_kill_rule(failed, killed):
     from mutants import hits
     assert hits(failed, PAIRED) is killed
+
+
+BINDINGS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
+
+
+def shared_bindings(sources):
+    """(name, files) for each top-level def, class or assignment that two or
+    more of `sources` ({file: source}) hold with equal code (line numbers
+    aside)."""
+    files, names = {}, {}
+    for file, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, BINDINGS):
+                code = ast.dump(node)
+                files.setdefault(code, []).append(file)
+                names[code] = getattr(node, "name", None) or ast.unparse(
+                    node.targets[0] if isinstance(node, ast.Assign) else node.target)
+    return sorted((names[code], tuple(fs)) for code, fs in files.items() if len(fs) > 1)
+
+
+def test_named_examples_are_defined_once():
+    # the named complexes, `mk` and the strategies live in tests/conftest.py
+    tests = REPO / "tests"
+    paths = [tests / "conftest.py", *sorted(tests.glob("test_*.py"))]
+    assert shared_bindings({p.name: p.read_text(encoding="utf-8") for p in paths}) == []
+
+
+def test_shared_binding_check_flags_synthetic_sources():
+    a = "\n".join([
+        "import os",
+        "X = f(1)",
+        "Y = 2",
+        "def g(a):",
+        "    return a",
+        "def h():",
+        "    return 1",
+        "class C:",
+        "    pass",
+    ])
+    b = "\n".join([
+        "import os",
+        "Y = 3",
+        "def k():",
+        "    return 1",
+        "class C:",
+        "    pass",
+        "X = f(1)",
+        "if True:",
+        "    Z = 1",
+        "def g(a):",
+        "    return a",
+    ])
+    both = ("a.py", "b.py")
+    assert shared_bindings({"a.py": a, "b.py": b}) == [("C", both), ("X", both), ("g", both)]
+    assert shared_bindings({"a.py": a}) == []
 
 
 def test_every_traced_name_resolves():
