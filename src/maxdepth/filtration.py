@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import MalformedInputError, SquarefreeRequiredError
+from .errors import MalformedInputError
 from .ideals import (
     FieldSpec,
     MonomialIdeal,
@@ -188,18 +188,23 @@ def att_report(I: MonomialIdeal) -> tuple[AttClaim, ...]:
 
 
 def psupp_monomial(I: MonomialIdeal, i: int) -> tuple[tuple[int, ...], ...]:
-    """Faces F whose link has nonvanishing local cohomology in degree i - |F|.
+    """Faces F with P_F in Psupp^i(S/I): S'/I_F, on the variables outside F
+    with x_j = 1 for j in F, has local cohomology in degree i - |F|.
 
-    Since lk_{lk F} G = lk(F cup G), G contributes to degree i - |F| of
-    k[lk F] exactly when F cup G contributes to degree i of k[Delta]: the
-    hits are the faces of the complex generated by the faces that contribute
-    to degree i of the table of S/I.
+    x_j owns a block of max(1, e_j) vertices of pol I, e_j its exponent in
+    the lcm of the generators, laid out as `polarize` lays them out.  With
+    F' the union of F's blocks, S'/I_F polarizes to k[lk F'] up to free
+    vertices, whose degree shifts cancel, and lk_{lk F'} G = lk(F' cup G):
+    P_F is a hit exactly when a face contributing to degree i of the table
+    holds F'.  So each such face is read as the variables whose whole block
+    it holds, and the hits are the faces those generate.
     """
-    if not I.is_squarefree:
-        raise SquarefreeRequiredError("Psupp scan needs a squarefree ideal")
     t = profile(I).hochster.degrees
     tops = t[i].contributions if 0 <= i < len(t) else ()
-    return tuple(face_tuples(face_meets([s for s, _ in tops])))
+    widths = [max(1, e) for e in I.lcm_of_gens().exponents]
+    blocks = [(1 << w) - 1 << sum(widths[:j]) for j, w in enumerate(widths)]
+    return tuple(face_tuples(face_meets(
+        [sum(1 << j for j, b in enumerate(blocks) if s & b == b) for s, _ in tops])))
 
 
 # ---------------------------------------------------------------------------

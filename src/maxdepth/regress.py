@@ -180,6 +180,7 @@ def _checks():
     yield "polarization depth shift on (x1^2, x1*x2)", (
         profile(polm).depth - (polm.ring.n - mixed.ring.n) == profile(mixed).depth == 0
     )
+    yield "(x1^2, x1*x2) Psupp^1 holds (x1)", (1,) in psupp_monomial(mixed, 1)
     I3 = parse_generators("x1^2,x1*x2", nvars=3)
     m3 = profile(I3)
     loc = localization_profile(I3, (2,))

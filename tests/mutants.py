@@ -260,6 +260,22 @@ MUTANTS = (
         '"degree": h.degree + 1,',
         ("tests/test_cli.py::TestOtherCommands::test_probe_hit_rendering",),
     ),
+    # a Psupp face read as every variable whose block it meets, not only
+    # those whose whole block it holds
+    Mutant(
+        "psupp-partial-block", "filtration.py",
+        "if s & b == b) for s",
+        "if s & b) for s",
+        ("tests/test_cech.py::test_psupp_matches_cech_of_each_localization",),
+    ),
+    # a variable in no generator given an empty block, which every face
+    # holds: pol I still gives it one vertex
+    Mutant(
+        "psupp-empty-block", "filtration.py",
+        "max(1, e)",
+        "e",
+        ("tests/test_cech.py::test_psupp_matches_cech_of_each_localization",),
+    ),
     # x_i^e polarized to the last e copies of x_i, not the first: the ideal
     # is the same up to renaming, so its invariants and the round trip back
     # to I stay the same, and only the printed generators tell

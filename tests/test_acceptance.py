@@ -206,8 +206,9 @@ def test_criterion_4_property_suites(pool_main, pool_small, pool_pairs, pool_mix
     rng = random.Random(20260824)
     for _ in range(200):
         n = rng.randint(3, 5)
-        a = profile(to_ideal(random_complex(rng, n)))
-        b = profile(to_ideal(random_complex(rng, n)))
+        A = to_ideal(random_complex(rng, n))
+        B = to_ideal(random_complex(rng, n))
+        a, b = profile(A), profile(B)
         s = direct_sum_profile([a, b])
         ok = (
             s.depth == min(a.depth, b.depth)
@@ -216,7 +217,7 @@ def test_criterion_4_property_suites(pool_main, pool_small, pool_pairs, pool_mix
             and s.maximal_depth == (s.depth == s.mdepth)
         )
         if not ok:
-            violations.append(("g", (a.ideal, b.ideal)))
+            violations.append(("g", (A, B)))
 
     report("4 property suites (a-g, zero violations)", not violations)
 

@@ -5,10 +5,12 @@ simplicial complex.
 The oracle's finite-length flags are compared on squarefree input only:
 on non-squarefree input the engine reads them off the polarized table,
 which does not keep them (ROADMAP item 1)."""
+from itertools import combinations
+
 import pytest
 
 from maxdepth.complexes import to_ideal
-from maxdepth.filtration import dimension_filtration, is_sequentially_cm
+from maxdepth.filtration import dimension_filtration, is_sequentially_cm, psupp_monomial
 from maxdepth.ideals import F2, QQ, MonomialIdeal, parse_generators, ring
 from maxdepth.invariants import profile
 
@@ -64,6 +66,25 @@ def test_non_squarefree_nonzero_flags_and_depth_match(pool_mixed, pool_raised):
     for I in pool_mixed + pool_raised:
         if not I.is_unit and not I.is_squarefree:
             assert agrees(I, oracle(I)), I.format()
+
+
+def test_psupp_matches_cech_of_each_localization(pool_mixed, pool_raised):
+    # P_F is in Psupp^i(S/I) iff H^{i-|F|}_m(S'/I_F) != 0, where S' is the
+    # ring on the variables outside F and I_F sets x_j = 1 for j in F; the
+    # faces F are those where I_F is proper
+    for I in pool_mixed[:100] + pool_raised:
+        n = I.ring.n
+        local = {}
+        for k in range(n + 1):
+            for F in combinations(range(n), k):
+                rest = [j for j in range(n) if j not in F]
+                gens = [tuple(g.exponents[j] for j in rest) for g in I.gens]
+                if all(any(g) for g in gens):
+                    local[F] = cech_table(len(rest), gens, I.ring.field_spec.characteristic)
+        for i in range(-1, n + 2):
+            assert psupp_monomial(I, i) == tuple(
+                F for F, t in local.items() if 0 <= i - len(F) < len(t) and t[i - len(F)]
+            ), (I.format(), i)
 
 
 def test_seqcm_verdict_from_cech_level_depths(pool_raised, pool_low_dim):

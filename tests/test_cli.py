@@ -132,6 +132,10 @@ class TestOtherCommands:
         doc = run_json(capsys, "psupp", C8, "--degree=3")
         assert doc["degree"] == 3 and [] in doc["faces"]
 
+    def test_psupp_non_squarefree(self, capsys):
+        assert run_cli(capsys, "psupp", "--gens=x1^2,x1*x2", "--degree=1") == (
+            0, "degree: 1\nfaces: () (2)\n", "")
+
     def test_polarize(self, capsys):
         doc = run_json(capsys, "polarize", "--gens=x1^2,x1*x2")
         assert doc["added_vars"] == 1

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from maxdepth.errors import CapExceededError, SquarefreeRequiredError, UndefinedModuleError
+from maxdepth.errors import CapExceededError, UndefinedModuleError
 from maxdepth.ideals import (
     F2,
     QQ,
@@ -557,9 +557,14 @@ class TestPsupp:
     def test_top_degree_nonempty(self):
         assert psupp_monomial(c8_ideal(), 4) != ()
 
-    def test_non_squarefree_rejected(self):
-        with pytest.raises(SquarefreeRequiredError):
-            psupp_monomial(mk(2, (2, 0)), 1)
+    def test_non_squarefree_worked_case(self):
+        # S/(x1^2, x1*x2) has depth 0 and dim 1; setting x2 = 1 leaves
+        # K[x1]/(x1), of depth 0, so (x1) is in Psupp^{0+1}; a third,
+        # free variable lifts every answer one degree and adds its face
+        I = parse_generators("x1^2,x1*x2", nvars=2)
+        assert [psupp_monomial(I, i) for i in range(3)] == [((),), ((), (1,)), ()]
+        assert psupp_monomial(parse_generators("x1^2,x1*x2", nvars=3), 2) == (
+            (), (1,), (2,), (1, 2))
 
     def test_pool_matches_link_tables(self, pool_low_dim):
         for I in pool_low_dim:
