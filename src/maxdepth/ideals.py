@@ -282,6 +282,9 @@ def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
     pol I' for I' with each variable's exponents replaced by their ranks,
     labelled by I's exponents.  It visits the same nodes as on all of pol I,
     and its size does not grow with the exponents.
+    The edges are taken in the graded-lex order of the generators of I', so
+    the nodes visited depend only on I' (on squarefree I, I' = I): a
+    strictly increasing map of each variable's exponents keeps them.
     The search branches on the vertices of the first uncovered edge in
     sorted order; branch v forbids the siblings tried before it, and is cut
     when a pair of the grown set has no tight generator left.  Growing the
@@ -295,9 +298,17 @@ def _tight_covers(I: MonomialIdeal, search_cap: int) -> tuple[frozenset, ...]:
     supplies the cap and keeps the memo.
     """
     pairs = {(i, e) for g in I.gens for i, e in enumerate(g.exponents) if e}
-    edges = [frozenset((i, e) for i, e in pairs if e <= g.exponents[i]) for g in I.gens]
+    first: dict[int, int] = {}  # variable -> position of its least pair
+    rank = {(i, e): 1 + k - first.setdefault(i, k) for k, (i, e) in enumerate(sorted(pairs))}
+
+    def ranked_key(g: Monomial):  # _graded_lex_key of g's image in I'
+        r = tuple(rank[i, e] if e else 0 for i, e in enumerate(g.exponents))
+        return sum(r), r
+
+    gens = sorted(I.gens, key=ranked_key)
+    edges = [frozenset((i, e) for i, e in pairs if e <= g.exponents[i]) for g in gens]
     # (i, e) -> the edges of the generators with g_i = e
-    tight = {(i, e): [f for g, f in zip(I.gens, edges) if g.exponents[i] == e] for i, e in pairs}
+    tight = {(i, e): [f for g, f in zip(gens, edges) if g.exponents[i] == e] for i, e in pairs}
     results: list[frozenset] = []
     visited = 0
 

@@ -128,19 +128,6 @@ def pool_mixed_dim():
 
 
 @pytest.fixture(scope="session")
-def pool_pairs():
-    """200 pairs of small ideals for tensor-join suites."""
-    rng = random.Random(POOL_SEED + 2)
-    return [
-        (
-            to_ideal(random_complex(rng, rng.randint(2, 4))),
-            to_ideal(random_complex(rng, rng.randint(2, 4))),
-        )
-        for _ in range(200)
-    ]
-
-
-@pytest.fixture(scope="session")
 def pool_mixed():
     """200 random monomial ideals, mostly non-squarefree, on 1-5 variables
     with up to 5 generators and exponents up to 3, alternately over QQ and GF(2)."""

@@ -49,9 +49,18 @@ MUTANTS = (
     ),
     Mutant(
         "edge-strict", "ideals.py",
-        "if e <= g.exponents[i]) for g in I.gens]",
-        "if e < g.exponents[i]) for g in I.gens]",
+        "if e <= g.exponents[i]) for g in gens]",
+        "if e < g.exponents[i]) for g in gens]",
         (f"{COVERS}::test_matches_tight_minimal_covers",),
+    ),
+    # the edges in the graded-lex order of I's own generators, which an
+    # exponent map can change: (x2^3, x1^3, x1^2*x3^2) needs 5 nodes and
+    # its image (x1^11, x2^12, x1^8*x3^10) 6
+    Mutant(
+        "edges-in-generator-order", "ideals.py",
+        "gens = sorted(I.gens, key=ranked_key)",
+        "gens = I.gens",
+        ("tests/test_ideals.py::TestExponentInvariance::test_smallest_search_cap_is_the_same",),
     ),
     # the unit pairs (i, 1..e) as vertices again: the same covers and the
     # same nodes, so only the memory of the search tells
@@ -68,7 +77,8 @@ MUTANTS = (
         "return self.depth == self.mdepth",
         "return self.mdepth == self.mdepth",
         ("tests/test_invariants.py::TestProfile::test_two_planes_flags",
-         "tests/test_invariants.py::TestTensorJoin::test_maximal_depth_iff_both"),
+         "tests/test_invariants.py::TestTensorJoin::test_maximal_depth_iff_both",
+         "tests/test_laws.py::test_tensor_join"),
     ),
     # projdim read off mdepth, which equals depth wherever S/I has
     # maximal depth
@@ -85,7 +95,7 @@ MUTANTS = (
         "finite-length-any", "invariants.py",
         "return all(s == 0 for s, _ in self.contributions)",
         "return any(s == 0 for s, _ in self.contributions)",
-        ("tests/test_invariants.py::TestProfile::test_generalized_cm_with_maximal_depth_is_cm_or_depth_zero",
+        ("tests/test_laws.py::test_generalized_cm_classification",
          "tests/test_cli.py::TestAnalyze::test_gens_input",
          "tests/test_cech.py::test_squarefree_tables_match"),
     ),
@@ -220,7 +230,22 @@ MUTANTS = (
         "no-substitution", "invariants.py",
         "0 if j in face else ",
         "",
-        ("tests/test_invariants.py::TestLocalization::test_depth_inequality_over_all_faces",),
+        ("tests/test_invariants.py::TestLocalization::test_depth_inequality_over_all_faces",
+         "tests/test_laws.py::test_localization"),
+    ),
+    # the depth of a direct sum read as the largest summand depth
+    Mutant(
+        "direct-sum-depth-max", "invariants.py",
+        "depth=min(p.depth",
+        "depth=max(p.depth",
+        ("tests/test_laws.py::test_direct_sum",),
+    ),
+    # the second factor of a join placed on the first variables
+    Mutant(
+        "join-offset", "ideals.py",
+        "gens += [Monomial((0,) * n + g.exponents) for g in J.gens]",
+        "gens += [Monomial(g.exponents + (0,) * n) for g in J.gens]",
+        ("tests/test_laws.py::test_tensor_join",),
     ),
     # 2.7 read as 2, "2" as 2 and true as 1
     Mutant(

@@ -111,8 +111,8 @@ class TestDimensionFiltration:
         assert len(collected) == len(set(collected))
         assert set(collected) == set(associated_primes(I))
 
-    def test_pool_ass_levels_partition_ass(self, pool_mixed):
-        for I in pool_mixed:
+    def test_pool_ass_levels_partition_ass(self, pool_small, pool_mixed):
+        for I in pool_small + pool_mixed:
             f = dimension_filtration(I)
             collected = [p for lv in f.levels for p in lv.ass_level]
             assert len(collected) == len(set(collected)), I.format()
@@ -122,6 +122,10 @@ class TestDimensionFiltration:
             for i, lv in enumerate(f.levels):
                 above = (c for rad, c in comps if rad.dim_in(I.ring) > i)
                 assert lv.ideal == intersect_all(I.ring, above), I.format()
+                # Ass(M/M_i) = Ass(S/I^(i)) is Ass M less Ass M_i
+                if lv.nonzero and not lv.ideal.is_unit:
+                    assert associated_primes(lv.ideal) == (
+                        associated_primes(I) - set(ass_of_submodule(f, i))), (I.format(), i)
 
 
 def intersection_levels(I):
@@ -400,14 +404,6 @@ class TestSequentiallyCM:
             res = is_sequentially_cm(I)
             got = (res.status, res.witness_skeleton, res.witness_face, res.witness_degree)
             assert got == seqcm_by_rescan(I), I.format()
-
-    @given(small_ideals)
-    @settings(max_examples=40, deadline=None)
-    def test_seqcm_implies_maximal_depth(self, I):
-        if I.is_unit:
-            return
-        if is_sequentially_cm(I).status == "true":
-            assert profile(I).maximal_depth
 
 
 class TestSharedCoverSearch:

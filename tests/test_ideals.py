@@ -550,18 +550,13 @@ class TestExponentInvariance:
 
     def test_smallest_search_cap_is_the_same(self, name, stretch_pool):
         # the search takes the edges in the graded-lex order of the
-        # generators, which a map can change by changing degrees: under
-        # 3e+2+i, (x2^3, x1^3, x1^2*x3^2) needs 5 nodes and its image 6.
-        # Where the map keeps that order the searches match node for node
+        # generators with each exponent replaced by its rank, which the map
+        # keeps, though it can reorder the generators themselves: under
+        # 3e+2+i, (x2^3, x1^3, x1^2*x3^2) and its image both need 5 nodes
         f = STRETCHES[name]
-        checked = 0
         for I in stretch_pool:
-            gens = tuple(stretch_monomial(g, f) for g in I.gens)
-            J = MonomialIdeal(I.ring, gens)
-            if J.gens == gens:
-                assert smallest_search_cap(J) == smallest_search_cap(I), I.format()
-                checked += 1
-        assert checked > 300
+            J = MonomialIdeal(I.ring, tuple(stretch_monomial(g, f) for g in I.gens))
+            assert smallest_search_cap(J) == smallest_search_cap(I), I.format()
 
 
 class TestIrreducibleDecomposition:
